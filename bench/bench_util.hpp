@@ -80,8 +80,8 @@ struct CampaignRecord {
   long trials = 0;
   int threads = 0;      ///< requested worker threads (0 = auto)
   double wall_ms = 0.0;
-  /// Evaluation backend the campaign ran under ("interpreted"/"compiled"/
-  /// "bitsliced"); empty = unspecified, and the JSON field is omitted so
+  /// Evaluation backend the campaign ran under ("interpreted" or
+  /// "compiled"); empty = unspecified, and the JSON field is omitted so
   /// records from before the backend existed stay byte-identical.
   std::string backend;
   /// Trials the campaign dropped short of its configured count (fault-site

@@ -212,9 +212,9 @@ int usage(const char* argv0) {
                "             scheme (default: none and ecc)\n"
                "  --threads= campaign worker threads (default: auto via\n"
                "             FLOPSIM_THREADS, then hardware concurrency)\n"
-               "  --backend= campaign trial evaluation backend: interpreted,\n"
-               "             compiled, or bitsliced (default: FLOPSIM_BACKEND,\n"
-               "             then interpreted); the matmul campaign has no\n"
+               "  --backend= campaign trial evaluation backend: interpreted\n"
+               "             or compiled (default: FLOPSIM_BACKEND, then\n"
+               "             interpreted); the matmul campaign has no\n"
                "             fast path yet and falls back (counted in\n"
                "             campaign.matmul.backend_fallback)\n"
                "  --json     append per-campaign timing records (JSON lines,\n"

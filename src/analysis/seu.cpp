@@ -12,6 +12,7 @@
 
 #include "exec/parallel.hpp"
 #include "fault/checkpoint.hpp"
+#include "lint/probe.hpp"
 #include "obs/probe.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
@@ -65,20 +66,33 @@ bool unit_trial_silent(const UnitTrial& t, fault::Scheme scheme) {
 
 // --- evaluator fast path ------------------------------------------------
 
-/// Whether the compiled/bitsliced evaluators' guarantees cover this
-/// campaign: every fault a one-shot data-lane latch flip, and the compiled
-/// chain free of the behaviours (DONE writes, nondeterminism) that make
-/// the scheme mapping below unsound. Anything else runs interpreted.
+/// Whether the compiled evaluator's guarantees cover this campaign: every
+/// fault a one-shot data-lane latch flip, and no chain piece that writes
+/// DONE or behaves nondeterministically — the behaviours that make the
+/// scheme mapping below unsound. Both chain facts come from the lint
+/// probe's def-use inference over the campaign workload. Anything else
+/// runs interpreted.
 bool fast_path_covers(const std::vector<fault::Fault>& faults,
-                      const rtl::CompileStats& stats) {
-  if (stats.alters_valid || stats.nondeterministic) return false;
+                      const rtl::PieceChain& chain,
+                      const std::vector<rtl::SignalSet>& stimuli) {
   for (const fault::Fault& f : faults) {
     if (f.site != fault::FaultSite::kStageLatch || f.lane < 0 ||
         f.lane >= rtl::kMaxSignals || f.bit < 0 || f.bit >= 64) {
       return false;
     }
   }
-  return true;
+  lint::ChainContract contract;
+  contract.name = "fast_path_covers";
+  contract.input_lanes = {units::detail::kLaneInA, units::detail::kLaneInB,
+                          units::detail::kLaneInCtl, units::detail::kLaneInC};
+  contract.result_lane = units::detail::kLaneResult;
+  contract.stimuli = stimuli;
+  const lint::ChainAccess access =
+      lint::infer_chain_access(chain, contract, lint::Options{});
+  return std::none_of(access.piece.begin(), access.piece.end(),
+                      [](const lint::PieceAccess& pa) {
+                        return pa.writes_valid || pa.nondeterministic;
+                      });
 }
 
 /// Map an evaluator verdict onto the scheme-aware trial the legacy
@@ -269,7 +283,7 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
                  dropped, camp.faults);
   }
 
-  // Backend selection: compile once per campaign, fork per worker. The
+  // Backend selection: bind once per campaign, fork per worker. The
   // evaluator is only trusted where its guarantees hold (fast_path_covers);
   // everything else — and every kInterpreted request — runs the legacy
   // HardenedUnit loop. Tallies and checkpoint bytes are backend-invariant,
@@ -277,22 +291,17 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   const rtl::EvalBackend backend = rtl::resolve_backend(camp.backend);
   std::unique_ptr<rtl::Evaluator> evaluator;
   if (backend != rtl::EvalBackend::kInterpreted && !faults.empty()) {
-    rtl::CompileContract contract;
-    contract.input_lanes = {units::detail::kLaneInA, units::detail::kLaneInB,
-                            units::detail::kLaneInCtl, units::detail::kLaneInC};
-    contract.result_lane = units::detail::kLaneResult;
-    contract.stimuli.reserve(workload.size());
+    std::vector<rtl::SignalSet> stimuli;
+    stimuli.reserve(workload.size());
     for (const units::UnitInput& in : workload) {
-      contract.stimuli.push_back(units::FpUnit::pack(in));
+      stimuli.push_back(units::FpUnit::pack(in));
     }
-    evaluator =
-        rtl::make_evaluator(backend, probe.pieces(), probe.plan(), contract);
-    const rtl::CompileStats* cs = evaluator->compile_stats();
-    if (cs == nullptr || !fast_path_covers(faults, *cs)) {
-      evaluator.reset();
-      reg.counter("campaign.unit.backend_fallback").inc();
+    if (fast_path_covers(faults, probe.pieces(), stimuli)) {
+      evaluator = rtl::make_evaluator(backend, probe.pieces(), probe.plan(),
+                                      units::detail::kLaneResult);
+      evaluator->bind(stimuli, horizon);
     } else {
-      evaluator->bind(contract.stimuli, horizon);
+      reg.counter("campaign.unit.backend_fallback").inc();
     }
   }
 
@@ -386,23 +395,14 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
       count, camp.threads,
       [&](int /*worker*/, std::size_t begin, std::size_t end) {
         if (evaluator != nullptr) {
-          // Compiled / bitsliced fast path: one forked evaluator per
-          // chunk, the whole chunk batched through trials().
+          // Compiled fast path: one forked evaluator per chunk.
           const std::unique_ptr<rtl::Evaluator> ev = evaluator->fork();
-          const std::size_t nt = end - begin;
-          std::vector<rtl::LatchUpset> upsets(nt);
-          std::vector<rtl::UpsetTrial> verdicts(nt);
           for (std::size_t i = begin; i < end; ++i) {
             const fault::Fault& f = faults[i];
-            upsets[i - begin] =
-                rtl::LatchUpset{f.cycle, f.index, f.lane, f.bit};
-          }
-          ev->trials(upsets.data(), verdicts.data(), nt);
-          for (std::size_t i = begin; i < end; ++i) {
-            const rtl::UpsetTrial& v = verdicts[i - begin];
-            const long vec = faults[i].cycle - faults[i].index;
+            const rtl::UpsetTrial v =
+                ev->trial(rtl::LatchUpset{f.cycle, f.index, f.lane, f.bit});
             const fp::u64 clean_result =
-                v.struck ? ev->clean_state(static_cast<int>(vec),
+                v.struck ? ev->clean_state(static_cast<int>(f.cycle - f.index),
                                            eval_stages - 1)
                                .lane[units::detail::kLaneResult]
                          : 0;
@@ -787,7 +787,7 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   std::mt19937_64 rng(camp.seed);
 
   // Kernel trials re-run the whole stateful array; the unit evaluators
-  // cannot stand in for that, so a compiled/bitsliced request downgrades
+  // cannot stand in for that, so a compiled request downgrades
   // to the interpreted kernel loop (documented fallback, counted).
   if (rtl::resolve_backend(camp.backend) != rtl::EvalBackend::kInterpreted) {
     reg.counter("campaign.matmul.backend_fallback").inc();

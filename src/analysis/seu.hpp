@@ -39,7 +39,7 @@ struct SeuCampaignConfig {
   int threads = 0;
   /// Trial evaluation backend (rtl::Evaluator). kAuto resolves via
   /// FLOPSIM_BACKEND, defaulting to the interpreted reference. The
-  /// compiled/bitsliced fast paths produce bit-identical tallies (and
+  /// compiled fast path produces bit-identical tallies (and
   /// checkpoint bytes — the backend never enters the spec hash); a
   /// campaign whose faults or chain fall outside their guarantees
   /// (non-latch faults, DONE-writing pieces) silently falls back to the

@@ -12,13 +12,12 @@
 // and every run.
 //
 // All sources funnel through one declarative description, CampaignSpec,
-// and a single constructor, FaultCampaign::make(spec). The per-source
-// static factories remain as thin wrappers: make() with equal parameters
-// reproduces their fault lists exactly (same RNG draw sequence).
+// and a single constructor, FaultCampaign::make(spec).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -104,50 +103,17 @@ struct CampaignSpec {
 
 class FaultCampaign {
  public:
-  /// The one constructor: build the fault list `spec` describes. Equal
-  /// parameters reproduce the corresponding legacy factory exactly.
+  /// The one constructor: build the fault list `spec` describes.
   static FaultCampaign make(const CampaignSpec& spec);
 
   /// An explicit fault list.
   static FaultCampaign from_list(std::vector<Fault> faults);
 
-  /// `count` faults uniform over the profile's occupied bits x stages x
-  /// [0, horizon) cycles.
-  /// Deprecated: fill a CampaignSpec (Source::kRandom) and call make().
-  [[deprecated("use CampaignSpec{Source::kRandom} + FaultCampaign::make")]]
-  static FaultCampaign random(const LatchProfile& profile, long horizon,
-                              int count, std::uint64_t seed);
-
-  /// Poisson upset-rate model: the number of faults is Poisson-distributed
-  /// with mean `upsets_per_bit_cycle * profile.total_bits() * horizon`,
-  /// each fault then placed like random().
-  /// Deprecated: fill a CampaignSpec (Source::kPoisson) and call make().
-  [[deprecated("use CampaignSpec{Source::kPoisson} + FaultCampaign::make")]]
-  static FaultCampaign poisson(const LatchProfile& profile, long horizon,
-                               double upsets_per_bit_cycle,
-                               std::uint64_t seed);
-
-  /// `count` single-bit accumulator upsets: row uniform in [0, rows),
-  /// bit uniform in [0, word_bits), cycle uniform in [0, horizon).
-  /// Deprecated: fill a CampaignSpec (Source::kAccumulator), call make().
-  [[deprecated(
-      "use CampaignSpec{Source::kAccumulator} + FaultCampaign::make")]]
-  static FaultCampaign random_accumulator(int rows, int word_bits,
-                                          long horizon, int count,
-                                          std::uint64_t seed);
-
-  /// `count` persistent configuration upsets (FaultSite::kConfig): the
-  /// struck site is uniform over the profile's occupied *data* bits, the
-  /// stuck mask covers `mask_bits` occupied bits upward from it, the stuck
-  /// value is a random draw under that mask, and the fault repairs at the
-  /// first scrub boundary after the strike (never, if no scrub period).
-  /// Deprecated: fill a CampaignSpec (Source::kCram) and call make().
-  [[deprecated("use CampaignSpec{Source::kCram} + FaultCampaign::make")]]
-  static FaultCampaign cram(const LatchProfile& profile, long horizon,
-                            int count, std::uint64_t seed,
-                            long scrub_period_cycles = 0, int mask_bits = 2);
-
-  const std::vector<Fault>& faults() const { return faults_; }
+  /// A campaign lvalue lends its list; a temporary hands it over, so
+  /// `for (const Fault& f : FaultCampaign::make(spec).faults())` iterates
+  /// a list that lives as long as the loop.
+  const std::vector<Fault>& faults() const& { return faults_; }
+  std::vector<Fault> faults() && { return std::move(faults_); }
   bool empty() const { return faults_.empty(); }
   std::size_t size() const { return faults_.size(); }
 

@@ -45,8 +45,8 @@ struct PieceAccess {
   /// The piece changed SignalSet::flags in at least one stimulus vector.
   bool writes_flags = false;
   /// The piece changed SignalSet::valid in at least one stimulus vector.
-  /// Units never should (DONE belongs to the simulator); the compiled
-  /// evaluation backends refuse chains where this fires (rtl/program.*).
+  /// Units never should (DONE belongs to the simulator); the campaign
+  /// fast path refuses chains where this fires (analysis/seu.cpp).
   bool writes_valid = false;
 };
 

@@ -7,10 +7,9 @@
 //
 //   --threads=<n>    campaign worker threads (absent -> 0 = auto,
 //                    anything not in [1, 1024] -> error)
-//   --backend=<b>    campaign trial evaluation backend: interpreted,
-//                    compiled, or bitsliced (absent -> auto: the
-//                    FLOPSIM_BACKEND env var, else interpreted; any
-//                    other value -> error)
+//   --backend=<b>    campaign trial evaluation backend: interpreted or
+//                    compiled (absent -> auto: the FLOPSIM_BACKEND env
+//                    var, else interpreted; any other value -> error)
 //   --json <path>    append per-campaign timing records (JSON lines)
 //   --csv <dir>      per-table CSV emission directory
 //   --metrics=<path> dump the metrics registry as JSON lines at exit

@@ -1,8 +1,5 @@
 #include "rtl/evaluator.hpp"
 
-#include <algorithm>
-#include <array>
-#include <bit>
 #include <cstdlib>
 
 #include "obs/trace.hpp"
@@ -15,7 +12,6 @@ const char* to_string(EvalBackend b) {
     case EvalBackend::kAuto: return "auto";
     case EvalBackend::kInterpreted: return "interpreted";
     case EvalBackend::kCompiled: return "compiled";
-    case EvalBackend::kBitsliced: return "bitsliced";
   }
   return "?";
 }
@@ -23,7 +19,6 @@ const char* to_string(EvalBackend b) {
 std::optional<EvalBackend> try_parse_backend(const std::string& name) {
   if (name == "interpreted") return EvalBackend::kInterpreted;
   if (name == "compiled") return EvalBackend::kCompiled;
-  if (name == "bitsliced") return EvalBackend::kBitsliced;
   return std::nullopt;
 }
 
@@ -41,7 +36,7 @@ namespace {
 /// states B[v][s]: the contents of stage s's output register while
 /// holding vector v. Computed once by stepping a real PipelineSim (the
 /// latch for (v, s) loads on cycle v + s), then shared immutably across
-/// every fork — this is the single source of truth all three backends
+/// every fork — this is the single source of truth both backends
 /// compare against, so they cannot drift from the machine.
 struct Bound {
   std::vector<SignalSet> inputs;
@@ -95,41 +90,58 @@ std::shared_ptr<const Bound> bind_clean_states(
   return b;
 }
 
-// ---------------------------------------------------------------------------
-// Interpreted: the faithful reference. Every trial re-steps a PipelineSim
-// over the whole horizon with a one-shot latch flip, comparing the output
-// register against the clean run cycle by cycle.
-
-class InterpretedEvaluator final : public Evaluator {
+/// What both backends share: the borrowed chain + plan, the result lane,
+/// and the bound workload with its clean states.
+class BoundEvaluator : public Evaluator {
  public:
-  InterpretedEvaluator(const PieceChain& chain, const PipelinePlan& plan,
-                       int result_lane)
-      : chain_(&chain),
-        plan_(plan),
-        result_lane_(result_lane),
-        sim_(&chain, plan) {}
-
-  EvalBackend backend() const override { return EvalBackend::kInterpreted; }
+  BoundEvaluator(const PieceChain& chain, const PipelinePlan& plan,
+                 int result_lane)
+      : chain_(&chain), plan_(&plan), result_lane_(result_lane) {}
 
   void bind(const std::vector<SignalSet>& inputs, long horizon) override {
-    bound_ = bind_clean_states(*chain_, plan_, inputs, horizon);
+    bound_ = bind_clean_states(*chain_, *plan_, inputs, horizon);
   }
 
-  int stages() const override { return plan_.stages(); }
+  int stages() const override { return plan_->stages(); }
   int vectors() const override { return bound_ ? bound_->vectors : 0; }
 
   const SignalSet& clean_state(int vector, int stage) const override {
     return bound_->state(vector, stage);
   }
 
+ protected:
+  /// The upset lands on an occupied latch: a workload vector sits in
+  /// that stage on that cycle, and the lane exists.
+  bool struck(const LatchUpset& u) const {
+    const long v = u.cycle - u.stage;
+    return u.stage >= 0 && u.stage < plan_->stages() && v >= 0 &&
+           v < bound_->vectors && u.lane >= 0 && u.lane < kMaxSignals;
+  }
+
+  const PieceChain* chain_;    // borrowed
+  const PipelinePlan* plan_;  // borrowed
+  int result_lane_;
+  std::shared_ptr<const Bound> bound_;
+};
+
+// ---------------------------------------------------------------------------
+// Interpreted: the faithful reference. Every trial re-steps a PipelineSim
+// over the whole horizon with a one-shot latch flip, comparing the output
+// register against the clean run cycle by cycle.
+
+class InterpretedEvaluator final : public BoundEvaluator {
+ public:
+  InterpretedEvaluator(const PieceChain& chain, const PipelinePlan& plan,
+                       int result_lane)
+      : BoundEvaluator(chain, plan, result_lane), sim_(&chain, plan) {}
+
+  EvalBackend backend() const override { return EvalBackend::kInterpreted; }
+
   UpsetTrial trial(const LatchUpset& u) override {
     UpsetTrial t;
     const Bound& b = *bound_;
-    const int s_count = plan_.stages();
+    const int s_count = plan_->stages();
     const long v = u.cycle - u.stage;
-    const bool struck =
-        u.stage >= 0 && u.stage < s_count && v >= 0 && v < b.vectors &&
-        u.lane >= 0 && u.lane < kMaxSignals;
     FlipObserver obs;
     obs.u = u;
     sim_.reset();
@@ -152,20 +164,20 @@ class InterpretedEvaluator final : public Evaluator {
                   out.flags != clean->flags)) {
         t.corrupted = true;
       }
-      if (struck && c == v + s_count - 1) {
+      if (c == v + s_count - 1) {
         t.valid = out.valid;
         t.result = out.lane[static_cast<std::size_t>(result_lane_)];
         t.flags = out.flags;
       }
     }
     sim_.set_latch_observer(nullptr);
-    if (!struck) return UpsetTrial{};  // bubble strike: provably benign
+    if (!struck(u)) return UpsetTrial{};  // bubble strike: provably benign
     t.struck = true;
     return t;
   }
 
   std::unique_ptr<Evaluator> fork() const override {
-    auto e = std::make_unique<InterpretedEvaluator>(*chain_, plan_,
+    auto e = std::make_unique<InterpretedEvaluator>(*chain_, *plan_,
                                                     result_lane_);
     e->bound_ = bound_;
     return e;
@@ -186,136 +198,33 @@ class InterpretedEvaluator final : public Evaluator {
     }
   };
 
-  const PieceChain* chain_;
-  PipelinePlan plan_;
-  int result_lane_;
   PipelineSim sim_;
-  std::shared_ptr<const Bound> bound_;
 };
 
 // ---------------------------------------------------------------------------
-// Compiled: copy the struck clean state, flip, replay only the compiled
-// suffix stages. The bind-time flip battery decides once whether the
-// pruned op list can be trusted on faulty states; on any disagreement the
-// full (unpruned) op list is used — still compiled, never wrong.
+// Compiled: copy the struck clean state, flip, and replay the remaining
+// stages through eval_stage() — the pieces PipelineSim::step would run on
+// that bundle, and nothing else.
 
-/// State shared by a compiled evaluator and all its forks. Immutable
-/// after bind() (bind before forking).
-struct CompiledCore {
-  const PieceChain* chain = nullptr;
-  PipelinePlan plan;
-  int result_lane = 0;
-  CompiledProgram program;
-  std::shared_ptr<const Bound> bound;
-  bool use_full = false;
-};
-
-constexpr std::size_t kMaxBatteryFlips = 4096;
-
-/// Pruned-vs-full suffix comparison over the occupied bits of the bound
-/// clean states (stride-sampled past kMaxBatteryFlips sites). Liveness
-/// inference is observational and a faulty state can take branches the
-/// probe never saw; this battery is what earns the pruned list the right
-/// to run on flipped states.
-bool flip_battery_passes(const CompiledCore& core) {
-  if (!core.program.optimized()) return true;  // pruned == full already
-  const Bound& b = *core.bound;
-  const int s_count = b.stages;
-  if (b.vectors == 0) return true;
-  struct Site {
-    int stage;
-    int lane;
-    int bit;
-  };
-  std::vector<Site> sites;
-  for (int s = 0; s < s_count; ++s) {
-    std::array<fp::u64, kMaxSignals> occ{};
-    for (int v = 0; v < b.vectors; ++v) {
-      const SignalSet& st = b.state(v, s);
-      for (int l = 0; l < kMaxSignals; ++l) {
-        occ[static_cast<std::size_t>(l)] |=
-            st.lane[static_cast<std::size_t>(l)];
-      }
-    }
-    for (int l = 0; l < kMaxSignals; ++l) {
-      for (fp::u64 w = occ[static_cast<std::size_t>(l)]; w != 0; w &= w - 1) {
-        sites.push_back(Site{s, l, std::countr_zero(w)});
-      }
-    }
-  }
-  const std::size_t stride =
-      sites.size() > kMaxBatteryFlips
-          ? (sites.size() + kMaxBatteryFlips - 1) / kMaxBatteryFlips
-          : 1;
-  const auto rl = static_cast<std::size_t>(core.result_lane);
-  for (std::size_t i = 0; i < sites.size(); i += stride) {
-    const Site& site = sites[i];
-    const int v = static_cast<int>(i % static_cast<std::size_t>(b.vectors));
-    SignalSet pruned = b.state(v, site.stage);
-    pruned.lane[static_cast<std::size_t>(site.lane)] ^= fp::u64{1} << site.bit;
-    SignalSet full = pruned;
-    core.program.run(pruned, site.stage + 1, s_count);
-    core.program.run_full(full, site.stage + 1, s_count);
-    const bool same_observables =
-        pruned.valid == full.valid &&
-        (!full.valid ||
-         (pruned.lane[rl] == full.lane[rl] && pruned.flags == full.flags));
-    if (!same_observables) return false;
-  }
-  return true;
-}
-
-class CompiledEvaluator : public Evaluator {
+class CompiledEvaluator final : public BoundEvaluator {
  public:
-  CompiledEvaluator(const PieceChain& chain, const PipelinePlan& plan,
-                    const CompileContract& contract)
-      : core_(std::make_shared<CompiledCore>()) {
-    core_->chain = &chain;
-    core_->plan = plan;
-    core_->result_lane = contract.result_lane;
-    auto span = obs::Tracer::global().span("compile", "evaluator",
-                                           {{"stages", plan.stages()}});
-    core_->program = compile_program(chain, plan, contract);
-  }
-  explicit CompiledEvaluator(std::shared_ptr<CompiledCore> core)
-      : core_(std::move(core)) {}
+  using BoundEvaluator::BoundEvaluator;
 
   EvalBackend backend() const override { return EvalBackend::kCompiled; }
 
-  void bind(const std::vector<SignalSet>& inputs, long horizon) override {
-    core_->bound = bind_clean_states(*core_->chain, core_->plan, inputs,
-                                     horizon);
-    core_->use_full = !flip_battery_passes(*core_);
-  }
-
-  int stages() const override { return core_->plan.stages(); }
-  int vectors() const override {
-    return core_->bound ? core_->bound->vectors : 0;
-  }
-
-  const SignalSet& clean_state(int vector, int stage) const override {
-    return core_->bound->state(vector, stage);
-  }
-
   UpsetTrial trial(const LatchUpset& u) override {
     UpsetTrial t;
-    const CompiledCore& core = *core_;
-    const Bound& b = *core.bound;
-    const int s_count = b.stages;
-    const long v = u.cycle - u.stage;
-    if (u.stage < 0 || u.stage >= s_count || v < 0 || v >= b.vectors ||
-        u.lane < 0 || u.lane >= kMaxSignals) {
-      return t;  // bubble strike
-    }
-    SignalSet s = b.state(static_cast<int>(v), u.stage);
+    if (!struck(u)) return t;  // bubble strike
+    const Bound& b = *bound_;
+    const int s_count = plan_->stages();
+    const int v = static_cast<int>(u.cycle - u.stage);
+    SignalSet s = b.state(v, u.stage);
     s.lane[static_cast<std::size_t>(u.lane)] ^= fp::u64{1} << (u.bit & 63);
-    if (core.use_full) {
-      core.program.run_full(s, u.stage + 1, s_count);
-    } else {
-      core.program.run(s, u.stage + 1, s_count);
+    for (int st = u.stage + 1; st < s_count; ++st) {
+      eval_stage(*chain_, *plan_, st, s);
     }
-    const SignalSet& clean = b.state(static_cast<int>(v), s_count - 1);
-    const auto rl = static_cast<std::size_t>(core.result_lane);
+    const SignalSet& clean = b.state(v, s_count - 1);
+    const auto rl = static_cast<std::size_t>(result_lane_);
     t.struck = true;
     t.valid = s.valid;
     t.result = s.lane[rl];
@@ -327,96 +236,11 @@ class CompiledEvaluator : public Evaluator {
   }
 
   std::unique_ptr<Evaluator> fork() const override {
-    return std::make_unique<CompiledEvaluator>(core_);
+    auto e =
+        std::make_unique<CompiledEvaluator>(*chain_, *plan_, result_lane_);
+    e->bound_ = bound_;
+    return e;
   }
-
-  const CompileStats* compile_stats() const override {
-    return &core_->program.stats();
-  }
-
- protected:
-  const std::shared_ptr<CompiledCore>& core() const { return core_; }
-
- private:
-  std::shared_ptr<CompiledCore> core_;
-};
-
-// ---------------------------------------------------------------------------
-// Bitsliced: the compiled backend's batch mode. trials() packs up to 64
-// upsets into one block; the fault masks are applied slot-wise up front,
-// the compiled program then runs op-major over the block (each op fetched
-// once, applied to every live slot), and the struck/corrupted verdicts
-// are accumulated as bits of 64-bit words before being unpacked into the
-// per-trial results.
-
-class BitslicedEvaluator final : public CompiledEvaluator {
- public:
-  using CompiledEvaluator::CompiledEvaluator;
-
-  EvalBackend backend() const override { return EvalBackend::kBitsliced; }
-
-  void trials(const LatchUpset* upsets, UpsetTrial* out,
-              std::size_t n) override {
-    const CompiledCore& core = *this->core();
-    const Bound& b = *core.bound;
-    const int s_count = b.stages;
-    const auto rl = static_cast<std::size_t>(core.result_lane);
-    for (std::size_t base = 0; base < n; base += 64) {
-      const int m = static_cast<int>(std::min<std::size_t>(64, n - base));
-      std::uint64_t struck = 0;
-      std::array<int, 64> entry{};
-      std::array<int, 64> vec{};
-      for (int k = 0; k < m; ++k) {
-        const LatchUpset& u = upsets[base + static_cast<std::size_t>(k)];
-        out[base + static_cast<std::size_t>(k)] = UpsetTrial{};
-        entry[static_cast<std::size_t>(k)] = s_count;  // never active
-        const long v = u.cycle - u.stage;
-        if (u.stage < 0 || u.stage >= s_count || v < 0 || v >= b.vectors ||
-            u.lane < 0 || u.lane >= kMaxSignals) {
-          continue;  // bubble strike
-        }
-        SignalSet& slot = slot_[static_cast<std::size_t>(k)];
-        slot = b.state(static_cast<int>(v), u.stage);
-        slot.lane[static_cast<std::size_t>(u.lane)] ^=
-            fp::u64{1} << (u.bit & 63);
-        entry[static_cast<std::size_t>(k)] = u.stage + 1;
-        vec[static_cast<std::size_t>(k)] = static_cast<int>(v);
-        struck |= std::uint64_t{1} << k;
-      }
-      if (struck != 0) {
-        core.program.run_block(slot_.data(), entry.data(), struck,
-                               core.use_full);
-      }
-      std::uint64_t corrupted = 0;
-      for (std::uint64_t w = struck; w != 0; w &= w - 1) {
-        const int k = std::countr_zero(w);
-        const SignalSet& s = slot_[static_cast<std::size_t>(k)];
-        const SignalSet& clean =
-            b.state(vec[static_cast<std::size_t>(k)], s_count - 1);
-        UpsetTrial& t = out[base + static_cast<std::size_t>(k)];
-        t.struck = true;
-        t.valid = s.valid;
-        t.result = s.lane[rl];
-        t.flags = s.flags;
-        if (s.valid != clean.valid ||
-            (s.valid &&
-             (t.result != clean.lane[rl] || t.flags != clean.flags))) {
-          corrupted |= std::uint64_t{1} << k;
-        }
-      }
-      for (std::uint64_t w = corrupted; w != 0; w &= w - 1) {
-        out[base + static_cast<std::size_t>(std::countr_zero(w))].corrupted =
-            true;
-      }
-    }
-  }
-
-  std::unique_ptr<Evaluator> fork() const override {
-    return std::make_unique<BitslicedEvaluator>(core());
-  }
-
- private:
-  std::array<SignalSet, 64> slot_{};
 };
 
 }  // namespace
@@ -424,18 +248,11 @@ class BitslicedEvaluator final : public CompiledEvaluator {
 std::unique_ptr<Evaluator> make_evaluator(EvalBackend backend,
                                           const PieceChain& chain,
                                           const PipelinePlan& plan,
-                                          const CompileContract& contract) {
-  switch (resolve_backend(backend)) {
-    case EvalBackend::kCompiled:
-      return std::make_unique<CompiledEvaluator>(chain, plan, contract);
-    case EvalBackend::kBitsliced:
-      return std::make_unique<BitslicedEvaluator>(chain, plan, contract);
-    case EvalBackend::kAuto:
-    case EvalBackend::kInterpreted:
-      break;
+                                          int result_lane) {
+  if (resolve_backend(backend) == EvalBackend::kCompiled) {
+    return std::make_unique<CompiledEvaluator>(chain, plan, result_lane);
   }
-  return std::make_unique<InterpretedEvaluator>(chain, plan,
-                                                contract.result_lane);
+  return std::make_unique<InterpretedEvaluator>(chain, plan, result_lane);
 }
 
 }  // namespace flopsim::rtl

@@ -1,36 +1,28 @@
 // The unified evaluation API for campaign trial loops.
 //
-// Three backends answer the same question — "flip this latched bit at
+// Two backends answer the same question — "flip this latched bit at
 // this (cycle, stage); what reaches the output register?" — at very
 // different speeds:
 //
 //   * kInterpreted: the faithful reference. Each trial re-steps a
 //     PipelineSim over the whole horizon with a one-shot injector, the
 //     way the campaigns always ran.
-//   * kCompiled: compile-once/run-many. bind() precomputes the clean
+//   * kCompiled: bind-once/replay-suffix. bind() precomputes the clean
 //     stage-boundary states B[v][s] for every workload vector by
 //     stepping a real PipelineSim once; a trial then copies the struck
-//     state, flips the bit, and replays only the compiled suffix stages
-//     — O(pieces downstream of the strike) instead of
-//     O(horizon x pieces).
-//   * kBitsliced: the compiled backend's batch mode. trials() packs up
-//     to 64 upsets into one block, walks the compiled program op-major
-//     (each op is fetched once per block, applied to every live slot)
-//     and packs the struck/corrupted verdicts into 64-bit words.
-//     Pieces stay word-level functions, so the slicing is across
-//     *trials* (one program pass serves 64 verdicts), not inside the
-//     piece arithmetic.
+//     state, flips the bit, and runs the remaining stages' pieces
+//     straight from the chain and plan through eval_stage() — the same
+//     per-stage helper PipelineSim::step runs — so the cost is
+//     O(pieces downstream of the strike) instead of O(horizon x pieces).
 //
-// All backends are locked to the same contract: identical UpsetTrial
-// results for identical upsets, byte for byte. The compiled backends
-// guard themselves at bind time with a flip battery (pruned-vs-full
-// suffix comparison over the occupied bits); if the pruned program ever
-// disagrees, they quietly fall back to the full op list — still
-// compiled, still fast, never wrong.
+// Both backends are locked to the same contract: identical UpsetTrial
+// results for identical upsets, byte for byte. The compiled backend
+// keeps it by construction: it runs exactly the pieces the machine runs
+// on exactly the states the machine latches.
 //
 // Thread safety: bound state is immutable and shared; call fork() to get
-// a per-worker evaluator (cheap — the program and B[v][s] table are
-// shared behind shared_ptr).
+// a per-worker evaluator (cheap — the B[v][s] table is shared behind
+// shared_ptr).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +30,8 @@
 #include <optional>
 #include <string>
 
-#include "rtl/program.hpp"
+#include "rtl/pipeline.hpp"
+#include "rtl/signals.hpp"
 
 namespace flopsim::rtl {
 
@@ -48,13 +41,12 @@ enum class EvalBackend {
   kAuto,         ///< resolve via FLOPSIM_BACKEND, default interpreted
   kInterpreted,
   kCompiled,
-  kBitsliced,
 };
 
 const char* to_string(EvalBackend b);
-/// Parse "interpreted" / "compiled" / "bitsliced" (the --backend= value
-/// set); nullopt on anything else. "auto" intentionally has no spelling:
-/// auto is the absence of the flag.
+/// Parse "interpreted" / "compiled" (the --backend= value set); nullopt
+/// on anything else. "auto" intentionally has no spelling: auto is the
+/// absence of the flag.
 std::optional<EvalBackend> try_parse_backend(const std::string& name);
 /// kAuto -> the FLOPSIM_BACKEND environment variable when set to a valid
 /// backend name, else kInterpreted (exactly how threads=0 resolves via
@@ -85,7 +77,7 @@ struct UpsetTrial {
 };
 
 /// A bound evaluator answers upset trials against one fixed workload.
-/// Lifecycle: make_evaluator() -> bind() once -> trial()/trials() many.
+/// Lifecycle: make_evaluator() -> bind() once -> trial() many.
 class Evaluator {
  public:
   virtual ~Evaluator() = default;
@@ -110,28 +102,18 @@ class Evaluator {
   /// Run one upset trial. Requires bind().
   virtual UpsetTrial trial(const LatchUpset& upset) = 0;
 
-  /// Batched trials — the bitsliced backend's fast path; the default
-  /// implementation loops trial().
-  virtual void trials(const LatchUpset* upsets, UpsetTrial* out,
-                      std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = trial(upsets[i]);
-  }
-
   /// A per-worker evaluator sharing this one's bound state. Evaluators
   /// are not safe for concurrent trial() calls; forks are.
   virtual std::unique_ptr<Evaluator> fork() const = 0;
-
-  /// Compile diagnostics; nullptr for the interpreted backend.
-  virtual const CompileStats* compile_stats() const { return nullptr; }
 };
 
 /// Build an evaluator over a borrowed chain + plan (both must outlive the
 /// evaluator and every fork, like PipelineSim's borrow). `backend` may be
-/// kAuto (resolved here). The compiled backends compile eagerly; the
-/// interpreted one ignores the contract.
+/// kAuto (resolved here); `result_lane` is the lane the output register
+/// carries out.
 std::unique_ptr<Evaluator> make_evaluator(EvalBackend backend,
                                           const PieceChain& chain,
                                           const PipelinePlan& plan,
-                                          const CompileContract& contract);
+                                          int result_lane);
 
 }  // namespace flopsim::rtl

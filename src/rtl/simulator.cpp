@@ -23,11 +23,7 @@ void PipelineSim::step(const std::optional<SignalSet>& input) {
     } else {
       work = latch_[s - 1];
     }
-    if (work.valid) {
-      for (int i = plan_.stage_begin[s]; i < plan_.stage_begin[s + 1]; ++i) {
-        (*chain_)[i].eval(work);
-      }
-    }
+    eval_stage(*chain_, plan_, s, work);
     latch_[s] = work;
     if (observer_ != nullptr) observer_->on_latch(cycles_, s, latch_[s]);
     if (latch_[s].valid) ++valid_cycles_[static_cast<std::size_t>(s)];

@@ -26,6 +26,20 @@ class LatchObserver {
   virtual void on_latch(long cycle, int stage, SignalSet& latch) = 0;
 };
 
+/// One stage's work on a clock edge: evaluate stage `stage`'s pieces on
+/// `work` in place. An invalid bundle (a bubble) flows through
+/// unevaluated. PipelineSim::step and the compiled evaluator's suffix
+/// replay (rtl/evaluator.*) both run exactly this, so the two cannot
+/// disagree on which pieces a bundle meets.
+inline void eval_stage(const PieceChain& chain, const PipelinePlan& plan,
+                       int stage, SignalSet& work) {
+  if (!work.valid) return;
+  const auto s = static_cast<std::size_t>(stage);
+  for (int i = plan.stage_begin[s]; i < plan.stage_begin[s + 1]; ++i) {
+    chain[static_cast<std::size_t>(i)].eval(work);
+  }
+}
+
 class PipelineSim {
  public:
   PipelineSim(const PieceChain* chain, PipelinePlan plan);

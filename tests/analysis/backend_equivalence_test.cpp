@@ -1,11 +1,12 @@
 // The backend contract end to end: every campaign tally is bit-identical
-// across the interpreted / compiled / bitsliced evaluators at any thread
+// across the interpreted and compiled evaluators at any thread
 // count, the backend never enters the checkpoint spec hash (a run
 // interrupted under one backend resumes under another), kAuto resolves
 // through FLOPSIM_BACKEND, and out-of-scope campaigns (matmul) fall back
 // to the interpreted loop with unchanged results.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -18,8 +19,7 @@ namespace flopsim::analysis {
 namespace {
 
 const rtl::EvalBackend kAllBackends[] = {rtl::EvalBackend::kInterpreted,
-                                         rtl::EvalBackend::kCompiled,
-                                         rtl::EvalBackend::kBitsliced};
+                                         rtl::EvalBackend::kCompiled};
 
 std::string fresh_dir(const std::string& stem) {
   const std::string dir =
@@ -40,7 +40,7 @@ void expect_same_unit(const UnitSeuResult& a, const UnitSeuResult& b) {
   EXPECT_EQ(a.pipeline_ffs, b.pipeline_ffs);
 }
 
-// Every hardening scheme classifies every fault identically on all three
+// Every hardening scheme classifies every fault identically on both
 // backends, and the fast paths keep the engine's thread-count invariance.
 TEST(BackendEquivalence, UnitTalliesMatchAcrossBackendsAndThreads) {
   const struct {
@@ -86,14 +86,49 @@ TEST(BackendEquivalence, UnitTalliesMatchAcrossBackendsAndThreads) {
   }
 }
 
+// Two serve-scale campaigns on which a suffix that skipped pieces on
+// faulty states (observational dead-piece pruning) miscounted: add
+// binary32 at 3 stages (seed 5) and ieee mul binary32 at 3 stages under
+// the residue checker (seed 41), 512 faults each.
+TEST(BackendEquivalence, ServeScaleCampaignsMatchInterpreted) {
+  const struct {
+    units::UnitKind kind;
+    bool ieee;
+    fault::Scheme scheme;
+    std::uint64_t seed;
+  } repros[] = {
+      {units::UnitKind::kAdder, false, fault::Scheme::kNone, 5},
+      {units::UnitKind::kMultiplier, true, fault::Scheme::kResidue, 41},
+  };
+  for (const auto& r : repros) {
+    SCOPED_TRACE(std::string(to_string(r.kind)) +
+                 " seed=" + std::to_string(r.seed));
+    units::UnitConfig cfg;
+    cfg.stages = 3;
+    cfg.ieee_mode = r.ieee;
+    SeuCampaignConfig camp;
+    camp.faults = 512;
+    camp.seed = r.seed;
+    camp.scheme = r.scheme;
+    camp.threads = 1;
+    camp.backend = rtl::EvalBackend::kInterpreted;
+    const UnitSeuResult reference =
+        run_unit_campaign(r.kind, fp::FpFormat::binary32(), cfg, camp);
+    camp.backend = rtl::EvalBackend::kCompiled;
+    expect_same_unit(
+        run_unit_campaign(r.kind, fp::FpFormat::binary32(), cfg, camp),
+        reference);
+  }
+}
+
 // kAuto resolves through FLOPSIM_BACKEND exactly like an explicit request.
 TEST(BackendEquivalence, AutoResolvesThroughTheEnvironment) {
-  ASSERT_EQ(::setenv("FLOPSIM_BACKEND", "bitsliced", /*overwrite=*/1), 0);
+  ASSERT_EQ(::setenv("FLOPSIM_BACKEND", "compiled", /*overwrite=*/1), 0);
   EXPECT_EQ(rtl::resolve_backend(rtl::EvalBackend::kAuto),
-            rtl::EvalBackend::kBitsliced);
-  // Explicit requests ignore the environment.
-  EXPECT_EQ(rtl::resolve_backend(rtl::EvalBackend::kCompiled),
             rtl::EvalBackend::kCompiled);
+  // Explicit requests ignore the environment.
+  EXPECT_EQ(rtl::resolve_backend(rtl::EvalBackend::kInterpreted),
+            rtl::EvalBackend::kInterpreted);
 
   units::UnitConfig cfg;
   cfg.stages = 5;
@@ -116,10 +151,14 @@ TEST(BackendEquivalence, AutoResolvesThroughTheEnvironment) {
   expect_same_unit(via_env, reference);
 
   // A garbage value falls back to the interpreted default, not an error —
-  // environment resolution mirrors FLOPSIM_THREADS's forgiving parse.
-  ASSERT_EQ(::setenv("FLOPSIM_BACKEND", "warp-drive", 1), 0);
-  EXPECT_EQ(rtl::resolve_backend(rtl::EvalBackend::kAuto),
-            rtl::EvalBackend::kInterpreted);
+  // environment resolution mirrors FLOPSIM_THREADS's forgiving parse. The
+  // retired batch mode's name is garbage now too.
+  for (const char* garbage : {"warp-drive", "bitsliced"}) {
+    ASSERT_EQ(::setenv("FLOPSIM_BACKEND", garbage, 1), 0);
+    EXPECT_EQ(rtl::resolve_backend(rtl::EvalBackend::kAuto),
+              rtl::EvalBackend::kInterpreted)
+        << garbage;
+  }
   ASSERT_EQ(::unsetenv("FLOPSIM_BACKEND"), 0);
 }
 
@@ -139,8 +178,7 @@ TEST(BackendEquivalence, ResumeCrossesBackendsBitIdentically) {
   const UnitSeuResult baseline = run_unit_campaign(kind, fmt, cfg, camp);
 
   const rtl::EvalBackend pairs[][2] = {
-      {rtl::EvalBackend::kCompiled, rtl::EvalBackend::kBitsliced},
-      {rtl::EvalBackend::kBitsliced, rtl::EvalBackend::kInterpreted},
+      {rtl::EvalBackend::kCompiled, rtl::EvalBackend::kInterpreted},
       {rtl::EvalBackend::kInterpreted, rtl::EvalBackend::kCompiled},
   };
   int variant = 0;
@@ -177,7 +215,7 @@ TEST(BackendEquivalence, ResumeCrossesBackendsBitIdentically) {
   }
 }
 
-// Kernel campaigns are outside the unit evaluators' scope; any backend
+// Kernel campaigns are outside the unit evaluators' scope; a compiled
 // request must downgrade to the interpreted loop without changing a tally.
 TEST(BackendEquivalence, MatmulRequestsFallBackWithIdenticalTallies) {
   kernel::PeConfig cfg;
@@ -190,23 +228,19 @@ TEST(BackendEquivalence, MatmulRequestsFallBackWithIdenticalTallies) {
   camp.backend = rtl::EvalBackend::kInterpreted;
   const MatmulSeuResult baseline = run_matmul_campaign(cfg, camp);
 
-  for (const rtl::EvalBackend backend :
-       {rtl::EvalBackend::kCompiled, rtl::EvalBackend::kBitsliced}) {
-    SCOPED_TRACE(rtl::to_string(backend));
-    MatmulSeuConfig run = camp;
-    run.backend = backend;
-    run.threads = 2;
-    const MatmulSeuResult r = run_matmul_campaign(cfg, run);
-    EXPECT_EQ(r.injected, baseline.injected);
-    EXPECT_EQ(r.masked, baseline.masked);
-    EXPECT_EQ(r.detected, baseline.detected);
-    EXPECT_EQ(r.corrected, baseline.corrected);
-    EXPECT_EQ(r.silent, baseline.silent);
-    EXPECT_EQ(r.acc_silent, baseline.acc_silent);
-    EXPECT_EQ(r.latch_silent, baseline.latch_silent);
-    EXPECT_EQ(r.config_silent, baseline.config_silent);
-    EXPECT_EQ(r.draws_exhausted, baseline.draws_exhausted);
-  }
+  MatmulSeuConfig run = camp;
+  run.backend = rtl::EvalBackend::kCompiled;
+  run.threads = 2;
+  const MatmulSeuResult r = run_matmul_campaign(cfg, run);
+  EXPECT_EQ(r.injected, baseline.injected);
+  EXPECT_EQ(r.masked, baseline.masked);
+  EXPECT_EQ(r.detected, baseline.detected);
+  EXPECT_EQ(r.corrected, baseline.corrected);
+  EXPECT_EQ(r.silent, baseline.silent);
+  EXPECT_EQ(r.acc_silent, baseline.acc_silent);
+  EXPECT_EQ(r.latch_silent, baseline.latch_silent);
+  EXPECT_EQ(r.config_silent, baseline.config_silent);
+  EXPECT_EQ(r.draws_exhausted, baseline.draws_exhausted);
 }
 
 // The depth sweep threads the backend through every inner campaign.
@@ -219,23 +253,19 @@ TEST(BackendEquivalence, DepthSweepMatchesAcrossBackends) {
   const std::vector<SeuDepthPoint> baseline = seu_depth_sweep(
       units::UnitKind::kAdder, fp::FpFormat::binary32(), depths, camp);
 
-  for (const rtl::EvalBackend backend :
-       {rtl::EvalBackend::kCompiled, rtl::EvalBackend::kBitsliced}) {
-    SCOPED_TRACE(rtl::to_string(backend));
-    SeuCampaignConfig run = camp;
-    run.backend = backend;
-    const std::vector<SeuDepthPoint> points = seu_depth_sweep(
-        units::UnitKind::kAdder, fp::FpFormat::binary32(), depths, run);
-    ASSERT_EQ(points.size(), baseline.size());
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      SCOPED_TRACE("depth index " + std::to_string(i));
-      EXPECT_EQ(points[i].stages, baseline[i].stages);
-      EXPECT_EQ(points[i].pipeline_ffs, baseline[i].pipeline_ffs);
-      EXPECT_EQ(points[i].occupied_bits, baseline[i].occupied_bits);
-      EXPECT_EQ(points[i].avf, baseline[i].avf);
-      EXPECT_EQ(points[i].sdc_fraction, baseline[i].sdc_fraction);
-      EXPECT_EQ(points[i].sdc_fit, baseline[i].sdc_fit);
-    }
+  SeuCampaignConfig run = camp;
+  run.backend = rtl::EvalBackend::kCompiled;
+  const std::vector<SeuDepthPoint> points = seu_depth_sweep(
+      units::UnitKind::kAdder, fp::FpFormat::binary32(), depths, run);
+  ASSERT_EQ(points.size(), baseline.size());
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    SCOPED_TRACE("depth index " + std::to_string(i));
+    EXPECT_EQ(points[i].stages, baseline[i].stages);
+    EXPECT_EQ(points[i].pipeline_ffs, baseline[i].pipeline_ffs);
+    EXPECT_EQ(points[i].occupied_bits, baseline[i].occupied_bits);
+    EXPECT_EQ(points[i].avf, baseline[i].avf);
+    EXPECT_EQ(points[i].sdc_fraction, baseline[i].sdc_fraction);
+    EXPECT_EQ(points[i].sdc_fit, baseline[i].sdc_fit);
   }
 }
 

@@ -3,6 +3,8 @@
 // the essential-bit / scrub-window arithmetic.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <tuple>
 #include <vector>
 
 #include "fault/campaign.hpp"
@@ -111,13 +113,36 @@ TEST(Cram, CramCampaignIsDeterministicAndWellFormed) {
   EXPECT_NE(a.faults(), c.faults());
 }
 
-// The unified CampaignSpec constructor must reproduce every legacy factory
-// draw-for-draw. Comparing against the deprecated factories is this test's
-// whole point, so the deprecation warnings are silenced here — and only
-// here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+/// Expected fault lists, one row per fault: {cycle, site, index, lane,
+/// bit, mask, stuck, repair_cycle}.
+std::vector<Fault> drawn_list(
+    std::initializer_list<std::tuple<long, FaultSite, int, int, int, fp::u64,
+                                     fp::u64, long>>
+        rows) {
+  std::vector<Fault> out;
+  for (const auto& [cycle, site, index, lane, bit, mask, stuck, repair] :
+       rows) {
+    Fault f;
+    f.cycle = cycle;
+    f.site = site;
+    f.index = index;
+    f.lane = lane;
+    f.bit = bit;
+    f.mask = mask;
+    f.stuck = stuck;
+    f.repair_cycle = repair;
+    out.push_back(f);
+  }
+  return out;
+}
+
+// CampaignSpec draws pinned as literal goldens, one list per random
+// source: the retired per-source factories were draw-for-draw wrappers
+// of make(), so these are also the lists those factories produced.
 TEST(Cram, CampaignSpecReproducesLegacyFactories) {
+  constexpr FaultSite kLatch = FaultSite::kStageLatch;
+  constexpr FaultSite kAcc = FaultSite::kAccumulator;
+  constexpr FaultSite kCfg = FaultSite::kConfig;
   const LatchProfile profile = adder_profile(9);
 
   CampaignSpec spec;
@@ -126,28 +151,72 @@ TEST(Cram, CampaignSpecReproducesLegacyFactories) {
   spec.horizon = 200;
   spec.count = 10;
   spec.seed = 77;
-  EXPECT_EQ(FaultCampaign::make(spec).faults(),
-            FaultCampaign::random(profile, 200, 10, 77).faults());
+  EXPECT_EQ(FaultCampaign::make(spec).faults(), drawn_list({
+      {197, kLatch, 3, 13, 6, 0x0, 0x0, -1},
+      {23, kLatch, 1, 5, 10, 0x0, 0x0, -1},
+      {61, kLatch, 3, 3, 1, 0x0, 0x0, -1},
+      {114, kLatch, 3, 5, 18, 0x0, 0x0, -1},
+      {97, kLatch, 1, 3, 1, 0x0, 0x0, -1},
+      {130, kLatch, 0, 1, 21, 0x0, 0x0, -1},
+      {161, kLatch, 2, 0, 2, 0x0, 0x0, -1},
+      {96, kLatch, 1, 9, 16, 0x0, 0x0, -1},
+      {84, kLatch, 1, 0, 28, 0x0, 0x0, -1},
+      {173, kLatch, 0, 5, 24, 0x0, 0x0, -1}
+  }));
 
   spec.source = CampaignSpec::Source::kPoisson;
   spec.rate = 1e-4;
-  EXPECT_EQ(FaultCampaign::make(spec).faults(),
-            FaultCampaign::poisson(profile, 200, 1e-4, 77).faults());
+  EXPECT_EQ(FaultCampaign::make(spec).faults(), drawn_list({
+      {25, kLatch, 2, 9, 13, 0x0, 0x0, -1},
+      {52, kLatch, 3, 9, 9, 0x0, 0x0, -1},
+      {110, kLatch, 3, 1, 10, 0x0, 0x0, -1},
+      {34, kLatch, 2, 5, 9, 0x0, 0x0, -1},
+      {118, kLatch, 1, 10, 0, 0x0, 0x0, -1},
+      {147, kLatch, 1, 1, 27, 0x0, 0x0, -1},
+      {156, kLatch, 2, 3, 7, 0x0, 0x0, -1},
+      {0, kLatch, 3, 3, 5, 0x0, 0x0, -1},
+      {56, kLatch, 2, 8, 1, 0x0, 0x0, -1},
+      {56, kLatch, 2, 0, 13, 0x0, 0x0, -1},
+      {69, kLatch, 2, 4, 3, 0x0, 0x0, -1},
+      {12, kLatch, 2, 1, 6, 0x0, 0x0, -1},
+      {62, kLatch, 0, 0, 4, 0x0, 0x0, -1},
+      {131, kLatch, 0, 3, 0, 0x0, 0x0, -1}
+  }));
 
   spec.source = CampaignSpec::Source::kAccumulator;
   spec.rows = 8;
   spec.word_bits = 32;
-  EXPECT_EQ(
-      FaultCampaign::make(spec).faults(),
-      FaultCampaign::random_accumulator(8, 32, 200, 10, 77).faults());
+  EXPECT_EQ(FaultCampaign::make(spec).faults(), drawn_list({
+      {152, kAcc, 5, 0, 7, 0x0, 0x0, -1},
+      {23, kAcc, 7, 0, 29, 0x0, 0x0, -1},
+      {97, kAcc, 2, 0, 31, 0x0, 0x0, -1},
+      {97, kAcc, 7, 0, 26, 0x0, 0x0, -1},
+      {101, kAcc, 1, 0, 23, 0x0, 0x0, -1},
+      {96, kAcc, 1, 0, 4, 0x0, 0x0, -1},
+      {52, kAcc, 5, 0, 30, 0x0, 0x0, -1},
+      {66, kAcc, 2, 0, 28, 0x0, 0x0, -1},
+      {118, kAcc, 6, 0, 11, 0x0, 0x0, -1},
+      {51, kAcc, 4, 0, 7, 0x0, 0x0, -1}
+  }));
 
   spec.source = CampaignSpec::Source::kCram;
   spec.scrub_period_cycles = 32;
-  EXPECT_EQ(FaultCampaign::make(spec).faults(),
-            FaultCampaign::cram(profile, 200, 10, 77, 32).faults());
+  const std::vector<Fault> cram = drawn_list({
+      {197, kCfg, 3, 13, 6, 0xc0, 0x0, 224},
+      {87, kCfg, 2, 5, 26, 0x4000000, 0x4000000, 96},
+      {114, kCfg, 3, 5, 18, 0xc0000, 0x80000, 128},
+      {63, kCfg, 2, 0, 18, 0xc0000, 0xc0000, 64},
+      {161, kCfg, 2, 0, 2, 0xc, 0x4, 192},
+      {25, kCfg, 2, 9, 13, 0x6000, 0x2000, 32},
+      {173, kCfg, 0, 5, 24, 0x3000000, 0x1000000, 192},
+      {34, kCfg, 2, 5, 9, 0x600, 0x600, 64},
+      {166, kCfg, 2, 1, 7, 0x180, 0x0, 192},
+      {156, kCfg, 2, 3, 7, 0x80, 0x80, 160}
+  });
+  EXPECT_EQ(FaultCampaign::make(spec).faults(), cram);
 
   spec.source = CampaignSpec::Source::kList;
-  spec.faults = FaultCampaign::cram(profile, 200, 10, 77, 32).faults();
+  spec.faults = cram;
   EXPECT_EQ(FaultCampaign::make(spec).faults(), spec.faults);
 
   // Sources that sample a profile refuse to run without one.
@@ -175,7 +244,6 @@ TEST(Cram, CampaignSpecReproducesLegacyFactories) {
   acc.word_bits = 73;
   EXPECT_THROW(FaultCampaign::make(acc), std::invalid_argument);
 }
-#pragma GCC diagnostic pop
 
 TEST(Cram, EssentialBitsScaleWithFootprint) {
   const CramModel model;

@@ -39,10 +39,13 @@ std::vector<fp::u64> random_vector(int n, fp::FpFormat fmt,
   return v;
 }
 
+// The name is held inline, not as a pointer: gtest prints the raw bytes of
+// the param into the test id, and a pointer would make the id depend on
+// where the binary happens to be loaded.
 struct MvmCase {
   int n;
   int p;
-  const char* name;
+  char name[8];
 };
 
 class MvmTest : public ::testing::TestWithParam<MvmCase> {};

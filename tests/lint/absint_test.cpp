@@ -269,25 +269,6 @@ TEST(AbsintRules, DL401UnderdeclarationAtAnExactBoundaryIsProvable) {
   EXPECT_TRUE(r.with_rule("DL201").empty()) << rendered(r);
 }
 
-TEST(AbsintRules, DL402ProvenConstantPieceKeptByTheBackend) {
-  rtl::PieceChain chain = annotated_chain();
-  chain[1].sem = {sm::cst(3, 7)};
-  chain[1].eval = [](rtl::SignalSet& s) { s[3] = 7; };
-  chain[1].live_bits = 3;
-  chain[2].live_bits = 4;
-  ChainAbsint absint;
-  Options opts;
-  const Report lint = lint_chain(chain, annotated_contract(), opts, &absint);
-  EXPECT_TRUE(lint.clean()) << rendered(lint);
-  ASSERT_TRUE(absint.piece_constant[1]);
-
-  const Report r =
-      crosscheck_compiled(chain, absint, {0, 0, 0}, "toy");
-  const auto hits = r.with_rule("DL402");
-  ASSERT_GE(hits.size(), 1u) << rendered(r);
-  EXPECT_EQ(hits[0].piece, 1);
-}
-
 TEST(AbsintRules, DL403LaneDemandedByNoAnnotationIsProvablyDead) {
   rtl::PieceChain chain = annotated_chain();
   // Lane 4 is written upstream and genuinely read downstream (twist's
@@ -311,19 +292,23 @@ TEST(AbsintRules, DL403LaneDemandedByNoAnnotationIsProvablyDead) {
   EXPECT_EQ(hits[0].lane, 4);
 }
 
-TEST(AbsintRules, DL404PruneThatLeansOnTheStimulusBattery) {
+TEST(AbsintRules, DL404PieceWhoseEveryOpIsGuardedOffIsUnreachable) {
+  rtl::PieceChain chain = annotated_chain();
+  // Lane 2 is a 17-bit sum of two 16-bit inputs: bit 20 is provably
+  // clear, so twist's only op can never fire.
+  chain[1].sem = {sm::onif(sm::band(3, 2, 0xFF), 2, 20)};
+  chain[1].eval = [](rtl::SignalSet& s) {
+    if (((s[2] >> 20) & 1) != 0) s[3] = s[2] & 0xFF;
+  };
   ChainAbsint absint;
   Options opts;
-  const rtl::PieceChain chain = annotated_chain();
-  lint_chain(chain, annotated_contract(), opts, &absint);
+  const Report r = lint_chain(chain, annotated_contract(), opts, &absint);
   ASSERT_TRUE(absint.annotated);
-
-  // The backend claims it pruned "twist", but the annotations still
-  // demand its write (lane 3 feeds pack).
-  const Report r =
-      crosscheck_compiled(chain, absint, {0, 2, 0}, "toy");
+  EXPECT_TRUE(absint.piece_unreachable[1]);
+  EXPECT_FALSE(absint.piece_unreachable[0]);
   const auto hits = r.with_rule("DL404");
   ASSERT_EQ(hits.size(), 1u) << rendered(r);
+  EXPECT_EQ(hits[0].severity, Severity::kWarning);
   EXPECT_EQ(hits[0].piece, 1);
 }
 

@@ -81,16 +81,16 @@ TEST(ParseCli, BackendDefaultsToAutoAndParsesEveryName) {
             rtl::EvalBackend::kInterpreted);
   EXPECT_EQ(parse({"--backend=compiled"}).backend,
             rtl::EvalBackend::kCompiled);
-  EXPECT_EQ(parse({"--backend=bitsliced"}).backend,
-            rtl::EvalBackend::kBitsliced);
 }
 
 TEST(ParseCli, BadBackendSetsError) {
   // "auto" is the absent-flag default, not an accepted spelling: spelling
-  // it out would suggest a fourth backend exists.
+  // it out would suggest a third backend exists. "bitsliced" named a
+  // retired batch mode of the compiled backend.
   for (const std::string& bad :
        {std::string("--backend=bogus"), std::string("--backend="),
-        std::string("--backend=auto"), std::string("--backend=Compiled")}) {
+        std::string("--backend=auto"), std::string("--backend=Compiled"),
+        std::string("--backend=bitsliced")}) {
     const CliArgs cli = parse({bad});
     EXPECT_FALSE(cli.ok()) << bad;
     EXPECT_EQ(cli.error, bad);

@@ -99,14 +99,14 @@ TEST(CampaignJournal, BackendFieldIsEmittedOnlyWhenSet) {
       testing::TempDir() + "/flopsim_sink_golden_backend.json";
   std::remove(path.c_str());
 
-  bench::CampaignJournal journal(2, "bitsliced");
-  journal.add({"unit_campaign:mult<binary32>:tmr", 32, 2, 12.5, "bitsliced"});
+  bench::CampaignJournal journal(2, "compiled");
+  journal.add({"unit_campaign:mult<binary32>:tmr", 32, 2, 12.5, "compiled"});
   journal.add({"matmul_campaign:n4:a8m5", 24, 2, 2.0, ""});
   ASSERT_TRUE(journal.write(path));
   EXPECT_EQ(read_file(path),
             "{\"campaign\": \"unit_campaign:mult<binary32>:tmr\", "
             "\"trials\": 32, \"threads\": 2, \"wall_ms\": 12.5, "
-            "\"backend\": \"bitsliced\"}\n"
+            "\"backend\": \"compiled\"}\n"
             "{\"campaign\": \"matmul_campaign:n4:a8m5\", \"trials\": 24, "
             "\"threads\": 2, \"wall_ms\": 2}\n");
   std::remove(path.c_str());

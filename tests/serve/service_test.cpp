@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -147,6 +148,39 @@ TEST(Service, IndependentServicesAgreeByteForByte) {
   Rig a;
   Rig b;
   EXPECT_EQ(a.uncached.handle_line(line), b.uncached.handle_line(line));
+}
+
+// The cache key leaves the backend out because campaign bytes cannot
+// depend on it: a service resolving kAuto to the compiled backend through
+// FLOPSIM_BACKEND answers exactly what an interpreted one does. The two
+// lines are campaigns a pruned compiled suffix once miscounted.
+TEST(Service, CompiledBackendAnswersWithInterpretedBytes) {
+  const std::string lines[] = {
+      "{\"id\": 0, \"type\": \"campaign\", \"op\": \"add\", \"bits\": 32, "
+      "\"stages\": 3, \"faults\": 512, \"seed\": 5}",
+      "{\"id\": 1, \"type\": \"campaign\", \"op\": \"mul\", \"bits\": 32, "
+      "\"stages\": 3, \"ieee\": true, \"faults\": 512, \"seed\": 41, "
+      "\"scheme\": \"residue\"}",
+  };
+  obs::Registry reg;
+  Service interpreted({.threads = 1, .backend = rtl::EvalBackend::kInterpreted},
+                      nullptr, reg);
+  Service via_env({}, nullptr, reg);  // kAuto
+  const char* prior = std::getenv("FLOPSIM_BACKEND");
+  const std::string saved = prior != nullptr ? prior : "";
+  ASSERT_EQ(::setenv("FLOPSIM_BACKEND", "compiled", 1), 0);
+  EXPECT_EQ(rtl::resolve_backend(rtl::EvalBackend::kAuto),
+            rtl::EvalBackend::kCompiled);
+  for (const std::string& line : lines) {
+    const std::string expected = interpreted.handle_line(line);
+    EXPECT_EQ(status_of(expected), 0) << expected;
+    EXPECT_EQ(via_env.handle_line(line), expected);
+  }
+  if (prior != nullptr) {
+    ::setenv("FLOPSIM_BACKEND", saved.c_str(), 1);
+  } else {
+    ::unsetenv("FLOPSIM_BACKEND");
+  }
 }
 
 TEST(Service, AutoDepthPlanReportsSelection) {

@@ -55,7 +55,7 @@ void print_usage(const char* prog) {
                "usage: %s <add|mul|div|sqrt|mac> <16|32|48|64> [stages] "
                "[area|speed] [ieee] [fabric] [--lint] "
                "[--harden=<parity|residue|dup|tmr|ecc>] [--threads=<n>] "
-               "[--backend=<interpreted|compiled|bitsliced>] "
+               "[--backend=<interpreted|compiled>] "
                "[--vcd=<path>] [--metrics=<path>] [--trace=<path>]\n"
                "       %s cvt <src-bits> <dst-bits> [stages]\n",
                prog, prog);
