@@ -141,7 +141,6 @@ analysis::Table kernel_sdc_table(const std::vector<fault::Scheme>& schemes,
       camp.config_fraction = 0.25;
       camp.scrub_period_cycles = scrub;
       camp.threads = journal.threads();
-      camp.backend = policy.backend();
       const std::string name = std::string("cram_matmul_campaign:") +
                                fault::to_string(scheme) + ":scrub" +
                                std::to_string(scrub);
@@ -212,11 +211,9 @@ int usage(const char* argv0) {
                "             scheme (default: none and ecc)\n"
                "  --threads= campaign worker threads (default: auto via\n"
                "             FLOPSIM_THREADS, then hardware concurrency)\n"
-               "  --backend= campaign trial evaluation backend: interpreted\n"
-               "             or compiled (default: FLOPSIM_BACKEND, then\n"
-               "             interpreted); the matmul campaign has no\n"
-               "             fast path yet and falls back (counted in\n"
-               "             campaign.matmul.backend_fallback)\n"
+               "  --backend= label for the --json timing records (interpreted\n"
+               "             or compiled); the matmul campaign always runs\n"
+               "             its one interpreted kernel loop\n"
                "  --json     append per-campaign timing records (JSON lines,\n"
                "             conventionally BENCH_campaign.json)\n"
                "  --metrics= dump the metrics registry as JSON lines at exit\n"

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -196,6 +197,122 @@ CheckpointSession open_checkpoint_session(
   return s;
 }
 
+/// What a campaign hands the trial driver: its static grid and identity,
+/// the sidecar codec of one item's verdict, and how to measure its
+/// headline rate. The golden run, the draw, the trial body and the
+/// ordered reduction stay with the campaign.
+struct TrialPlan {
+  std::uint64_t key = 0;  ///< campaign spec hash (names the sidecar)
+  std::size_t count = 0;  ///< grid items: trials, or depths for the sweep
+  std::size_t chunk = 1;  ///< items per grid chunk
+  int threads = 0;
+  long trials_per_item = 1;  ///< trial-budget charge of one finished item
+  /// Sidecar bytes per item; a stored chunk of any other size is dropped
+  /// and re-run.
+  std::size_t item_bytes = 1;
+  std::function<void(std::size_t item, std::vector<std::uint8_t>& out)>
+      encode;
+  std::function<void(std::size_t item, const std::uint8_t* bytes)> restore;
+  /// Convergence: whether an accounted item is silent, and the half-width
+  /// of the headline rate after `silent` of `n` items. Unset: the
+  /// campaign has no early stop and ignores stop_half_width.
+  std::function<bool(std::size_t item)> silent;
+  std::function<double(long silent, long n)> half_width;
+  /// Ticked for restored items; the trial body ticks the ones it runs.
+  obs::ProgressReporter* progress = nullptr;
+};
+
+struct TrialRun {
+  exec::GridResult grid;
+  CampaignRunStatus status;
+};
+
+/// The one resilient trial loop every campaign runs on: restore the
+/// sidecar, run `body` over the grid's remaining chunks, and after each
+/// chunk tally it, journal its verdict bytes, charge the trial budget and
+/// test the convergence stop. Cancellation is polled between chunks; the
+/// caller reduces only the chunks marked done in the returned grid.
+TrialRun run_trials(const TrialPlan& plan, const CampaignRunControl& control,
+                    const exec::ThreadPool::ChunkFn& body) {
+  const std::size_t nchunks =
+      exec::grid_chunk_count(plan.count, 1, plan.chunk);
+  const bool converge = control.stop_half_width > 0.0 &&
+                        static_cast<bool>(plan.half_width);
+
+  // Convergence tallies run over every accounted item — restored chunks
+  // included, so a resumed campaign's early stop sees the full sample.
+  long done_items = 0;
+  long done_silent = 0;
+  const auto account = [&](std::size_t begin, std::size_t end) {
+    done_items += static_cast<long>(end - begin);
+    if (!converge) return;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (plan.silent(i)) ++done_silent;
+    }
+  };
+  CheckpointSession ckpt = open_checkpoint_session(
+      control, plan.key, plan.count, plan.chunk, nchunks,
+      [&](std::size_t index, const std::vector<std::uint8_t>& data) {
+        const std::size_t begin = index * plan.chunk;
+        const std::size_t end = std::min(plan.count, begin + plan.chunk);
+        if (data.size() != (end - begin) * plan.item_bytes) return false;
+        for (std::size_t i = begin; i < end; ++i) {
+          plan.restore(i, &data[(i - begin) * plan.item_bytes]);
+        }
+        account(begin, end);
+        return true;
+      });
+  if (plan.progress != nullptr && done_items > 0) {
+    plan.progress->tick(done_items);
+  }
+
+  exec::CancelToken local_token;
+  exec::CancelToken* cancel =
+      control.cancel != nullptr ? control.cancel : &local_token;
+
+  long executed = 0;
+  exec::GridOptions grid_opts;
+  grid_opts.chunk = plan.chunk;
+  grid_opts.skip = ckpt.skip.empty() ? nullptr : &ckpt.skip;
+  grid_opts.cancel = cancel;
+  grid_opts.on_chunk_done = [&](std::size_t c, std::size_t begin,
+                                std::size_t end) {
+    executed += static_cast<long>(end - begin) * plan.trials_per_item;
+    account(begin, end);
+    if (ckpt.writer != nullptr) {
+      std::vector<std::uint8_t> data;
+      data.reserve((end - begin) * plan.item_bytes);
+      for (std::size_t i = begin; i < end; ++i) plan.encode(i, data);
+      ckpt.writer->append(c, data);
+    }
+    if (control.trial_budget > 0 && executed >= control.trial_budget) {
+      cancel->request(exec::CancelToken::Reason::kTrialBudget);
+    }
+    if (converge && plan.half_width(done_silent, done_items) <=
+                        control.stop_half_width) {
+      cancel->request(exec::CancelToken::Reason::kConverged);
+    }
+  };
+
+  TrialRun run;
+  run.grid = exec::parallel_for_grid(plan.count, plan.threads, body,
+                                     grid_opts);
+  if (ckpt.writer != nullptr) ckpt.writer->flush();
+
+  run.status.chunks_total = static_cast<long>(run.grid.chunks);
+  run.status.chunks_completed = static_cast<long>(run.grid.completed);
+  run.status.chunks_restored = ckpt.restored;
+  run.status.trials_executed = executed;
+  run.status.interrupted = !run.grid.complete();
+  run.status.stop_reason = cancel->reason();
+  obs::Registry& reg = obs::Registry::global();
+  reg.counter("campaign.chunks.completed")
+      .add(static_cast<long>(run.grid.completed));
+  reg.counter("campaign.chunks.restored").add(ckpt.restored);
+  if (run.status.interrupted) reg.counter("campaign.interrupted").inc();
+  return run;
+}
+
 }  // namespace
 
 double proportion_half_width(long successes, long n) {
@@ -206,12 +323,6 @@ double proportion_half_width(long successes, long n) {
   const double nt = static_cast<double>(n) + 4.0;
   const double p = (static_cast<double>(successes) + 2.0) / nt;
   return 1.96 * std::sqrt(p * (1.0 - p) / nt);
-}
-
-UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
-                                const units::UnitConfig& cfg,
-                                const SeuCampaignConfig& camp) {
-  return run_unit_campaign(kind, fmt, cfg, camp, CampaignRunControl{});
 }
 
 UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
@@ -263,7 +374,6 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   draw_spec.horizon = horizon;
   draw_spec.count = camp.faults;
   draw_spec.seed = camp.seed + 1;
-  draw_spec.backend = camp.backend;
   const fault::FaultCampaign campaign = fault::FaultCampaign::make(draw_spec);
   const std::vector<fault::Fault>& faults = campaign.faults();
   std::vector<UnitTrial> trials(faults.size());
@@ -310,7 +420,6 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   const std::size_t count = faults.size();
   const std::size_t chunk =
       control.chunk_trials > 0 ? control.chunk_trials : 16;
-  const std::size_t nchunks = exec::grid_chunk_count(count, 1, chunk);
 
   // Campaign identity: everything the trial outcomes are a function of,
   // including the drawn fault list itself (the strongest possible key).
@@ -328,72 +437,33 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   spec.i64(static_cast<long long>(count));
   for (const fault::Fault& f : faults) fold_fault(spec, f);
 
-  // Convergence tallies run over every accounted trial — restored chunks
-  // included, so a resumed campaign's early stop sees the full sample.
-  long done_trials = 0;
-  long done_silent = 0;
-  CheckpointSession ckpt = open_checkpoint_session(
-      control, spec.value(), count, chunk, nchunks,
-      [&](std::size_t index, const std::vector<std::uint8_t>& data) {
-        const std::size_t begin = index * chunk;
-        const std::size_t end = std::min(count, begin + chunk);
-        if (data.size() != end - begin) return false;
-        for (std::size_t i = begin; i < end; ++i) {
-          trials[i] = decode_unit_trial(data[i - begin]);
-          if (unit_trial_silent(trials[i], camp.scheme)) ++done_silent;
-        }
-        done_trials += static_cast<long>(end - begin);
-        return true;
-      });
-
-  exec::CancelToken local_token;
-  exec::CancelToken* cancel =
-      control.cancel != nullptr ? control.cancel : &local_token;
-
   obs::ProgressReporter progress("unit campaign", static_cast<long>(count));
-  // Restored trials count as already-done progress.
-  for (long i = 0; i < done_trials; ++i) progress.tick();
+  TrialPlan plan;
+  plan.key = spec.value();
+  plan.count = count;
+  plan.chunk = chunk;
+  plan.threads = camp.threads;
+  plan.encode = [&](std::size_t i, std::vector<std::uint8_t>& out) {
+    out.push_back(encode_unit_trial(trials[i]));
+  };
+  plan.restore = [&](std::size_t i, const std::uint8_t* bytes) {
+    trials[i] = decode_unit_trial(*bytes);
+  };
+  plan.silent = [&](std::size_t i) {
+    return unit_trial_silent(trials[i], camp.scheme);
+  };
+  plan.half_width = [&](long silent, long n) {
+    return control.rate.fit(res.pipeline_ffs,
+                            proportion_half_width(silent, n));
+  };
+  plan.progress = &progress;
+
   auto inject_span = tracer.span("inject", "campaign");
   const fault::HardenedUnit proto(kind, fmt, cfg, camp.scheme);
-
-  long executed = 0;
-  exec::GridOptions grid_opts;
-  grid_opts.chunk = chunk;
-  grid_opts.skip = ckpt.skip.empty() ? nullptr : &ckpt.skip;
-  grid_opts.cancel = cancel;
-  grid_opts.on_chunk_done = [&](std::size_t c, std::size_t begin,
-                                std::size_t end) {
-    const long nt = static_cast<long>(end - begin);
-    executed += nt;
-    done_trials += nt;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (unit_trial_silent(trials[i], camp.scheme)) ++done_silent;
-    }
-    if (ckpt.writer != nullptr) {
-      std::vector<std::uint8_t> data;
-      data.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        data.push_back(encode_unit_trial(trials[i]));
-      }
-      ckpt.writer->append(c, data);
-    }
-    if (control.trial_budget > 0 && executed >= control.trial_budget) {
-      cancel->request(exec::CancelToken::Reason::kTrialBudget);
-    }
-    if (control.stop_half_width > 0.0) {
-      const double hw = control.rate.fit(
-          res.pipeline_ffs, proportion_half_width(done_silent, done_trials));
-      if (hw <= control.stop_half_width) {
-        cancel->request(exec::CancelToken::Reason::kConverged);
-      }
-    }
-  };
-
   const int eval_stages = evaluator != nullptr ? evaluator->stages() : 0;
   const fp::u64 frac_mask = fmt.frac_mask();
-  const exec::GridResult grid = exec::parallel_for_grid(
-      count, camp.threads,
-      [&](int /*worker*/, std::size_t begin, std::size_t end) {
+  const TrialRun run = run_trials(
+      plan, control, [&](int /*worker*/, std::size_t begin, std::size_t end) {
         if (evaluator != nullptr) {
           // Compiled fast path: one forked evaluator per chunk.
           const std::unique_ptr<rtl::Evaluator> ev = evaluator->fork();
@@ -431,46 +501,34 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
           hardened.disarm();
           progress.tick();
         }
-      },
-      grid_opts);
+      });
   inject_span.end();
-  if (ckpt.writer != nullptr) ckpt.writer->flush();
-
-  res.run.chunks_total = static_cast<long>(grid.chunks);
-  res.run.chunks_completed = static_cast<long>(grid.completed);
-  res.run.chunks_restored = ckpt.restored;
-  res.run.trials_executed = executed;
-  res.run.interrupted = !grid.complete();
-  res.run.stop_reason = cancel->reason();
+  res.run = run.status;
 
   // Ordered reduction: fault-list order, never worker-arrival order. Only
   // accounted (run or restored) chunks contribute — with every chunk done
   // this is exactly the legacy flat fold over the fault list.
   auto reduce_span = tracer.span("reduce", "campaign");
-  for (std::size_t c = 0; c < grid.chunks; ++c) {
-    if (grid.done[c] == 0) continue;
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(count, begin + chunk);
-    for (std::size_t i = begin; i < end; ++i) {
-      const UnitTrial& trial = trials[i];
-      ++res.injected;
-      if (trial.corrupted) ++res.corrupted;
-      if (camp.scheme == fault::Scheme::kTmr) {
-        if (trial.hardened_differs) {
-          ++res.silent;
-        } else if (trial.corrupted) {
-          ++res.corrected;
-        } else {
-          ++res.masked;
-        }
+  for (std::size_t i = 0; i < count; ++i) {
+    if (run.grid.done[i / chunk] == 0) continue;
+    const UnitTrial& trial = trials[i];
+    ++res.injected;
+    if (trial.corrupted) ++res.corrupted;
+    if (camp.scheme == fault::Scheme::kTmr) {
+      if (trial.hardened_differs) {
+        ++res.silent;
+      } else if (trial.corrupted) {
+        ++res.corrected;
       } else {
-        if (trial.corrupted && !trial.mismatch) {
-          ++res.silent;
-        } else if (trial.mismatch) {
-          ++res.detected;
-        } else {
-          ++res.masked;
-        }
+        ++res.masked;
+      }
+    } else {
+      if (trial.corrupted && !trial.mismatch) {
+        ++res.silent;
+      } else if (trial.mismatch) {
+        ++res.detected;
+      } else {
+        ++res.masked;
       }
     }
   }
@@ -482,26 +540,15 @@ UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
   reg.counter("campaign.unit.detected").add(res.detected);
   reg.counter("campaign.unit.corrected").add(res.corrected);
   reg.counter("campaign.unit.silent").add(res.silent);
-  reg.counter("campaign.chunks.completed")
-      .add(static_cast<long>(grid.completed));
-  reg.counter("campaign.chunks.restored").add(ckpt.restored);
-  if (res.run.interrupted) reg.counter("campaign.interrupted").inc();
   return res;
-}
-
-std::vector<SeuDepthPoint> seu_depth_sweep(units::UnitKind kind,
-                                           fp::FpFormat fmt,
-                                           const std::vector<int>& depths,
-                                           const SeuCampaignConfig& camp,
-                                           const SeuRateModel& rate) {
-  return seu_depth_sweep(kind, fmt, depths, camp, rate, CampaignRunControl{})
-      .points;
 }
 
 namespace {
 
 // A finished depth point is the sweep's checkpoint unit: 8 little-endian
 // 64-bit words (ints widened, doubles bit-cast), so restore is exact.
+constexpr std::size_t kDepthPointBytes = 64;
+
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xffu));
@@ -516,9 +563,8 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   return v;
 }
 
-std::vector<std::uint8_t> encode_depth_point(const SeuDepthPoint& p) {
-  std::vector<std::uint8_t> out;
-  out.reserve(64);
+void encode_depth_point(const SeuDepthPoint& p,
+                        std::vector<std::uint8_t>& out) {
   put_u64(out, static_cast<std::uint64_t>(static_cast<std::int64_t>(p.stages)));
   put_u64(out, std::bit_cast<std::uint64_t>(p.freq_mhz));
   put_u64(out, static_cast<std::uint64_t>(
@@ -529,10 +575,9 @@ std::vector<std::uint8_t> encode_depth_point(const SeuDepthPoint& p) {
   put_u64(out, std::bit_cast<std::uint64_t>(p.sdc_fraction));
   put_u64(out, std::bit_cast<std::uint64_t>(p.sdc_fit));
   put_u64(out, std::bit_cast<std::uint64_t>(p.tmr_area_x));
-  return out;
 }
 
-SeuDepthPoint decode_depth_point(const std::vector<std::uint8_t>& data) {
+SeuDepthPoint decode_depth_point(const std::uint8_t* data) {
   SeuDepthPoint p;
   p.stages = static_cast<int>(static_cast<std::int64_t>(get_u64(&data[0])));
   p.freq_mhz = std::bit_cast<double>(get_u64(&data[8]));
@@ -559,8 +604,6 @@ SeuSweepRun seu_depth_sweep(units::UnitKind kind, fp::FpFormat fmt,
   SeuSweepRun out;
   out.points.assign(depths.size(), SeuDepthPoint{});
   const std::size_t count = depths.size();
-  const std::size_t chunk = 1;  // one depth = one recoverable unit
-  const std::size_t nchunks = count;
 
   fault::SpecHash spec;
   spec.str("seu_depth_sweep v1");
@@ -570,37 +613,21 @@ SeuSweepRun seu_depth_sweep(units::UnitKind kind, fp::FpFormat fmt,
   spec.i64(static_cast<long long>(count));
   for (const int d : depths) spec.i64(d);
 
-  CheckpointSession ckpt = open_checkpoint_session(
-      control, spec.value(), count, chunk, nchunks,
-      [&](std::size_t index, const std::vector<std::uint8_t>& data) {
-        if (data.size() != 64) return false;
-        out.points[index] = decode_depth_point(data);
-        return true;
-      });
-
-  exec::CancelToken local_token;
-  exec::CancelToken* cancel =
-      control.cancel != nullptr ? control.cancel : &local_token;
-
-  long executed = 0;  // inner-campaign trials, camp.faults per depth
-  exec::GridOptions grid_opts;
-  grid_opts.chunk = chunk;
-  grid_opts.skip = ckpt.skip.empty() ? nullptr : &ckpt.skip;
-  grid_opts.cancel = cancel;
-  grid_opts.on_chunk_done = [&](std::size_t c, std::size_t /*begin*/,
-                                std::size_t /*end*/) {
-    executed += camp.faults;
-    if (ckpt.writer != nullptr) {
-      ckpt.writer->append(c, encode_depth_point(out.points[c]));
-    }
-    if (control.trial_budget > 0 && executed >= control.trial_budget) {
-      cancel->request(exec::CancelToken::Reason::kTrialBudget);
-    }
+  TrialPlan plan;
+  plan.key = spec.value();
+  plan.count = count;
+  plan.chunk = 1;  // one depth = one recoverable unit
+  plan.threads = camp.threads;
+  plan.trials_per_item = camp.faults;  // the depth's inner campaign
+  plan.item_bytes = kDepthPointBytes;
+  plan.encode = [&](std::size_t i, std::vector<std::uint8_t>& bytes) {
+    encode_depth_point(out.points[i], bytes);
   };
-
-  const exec::GridResult grid = exec::parallel_for_grid(
-      count, camp.threads,
-      [&](int /*worker*/, std::size_t begin, std::size_t end) {
+  plan.restore = [&](std::size_t i, const std::uint8_t* bytes) {
+    out.points[i] = decode_depth_point(bytes);
+  };
+  const TrialRun run = run_trials(
+      plan, control, [&](int /*worker*/, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           units::UnitConfig cfg;
           cfg.stages = depths[i];
@@ -621,22 +648,9 @@ SeuSweepRun seu_depth_sweep(units::UnitKind kind, fp::FpFormat fmt,
               fault::hardening_cost(unit, fault::Scheme::kTmr).area_factor;
           out.points[i] = p;
         }
-      },
-      grid_opts);
-  if (ckpt.writer != nullptr) ckpt.writer->flush();
-
-  out.done = grid.done;
-  out.run.chunks_total = static_cast<long>(grid.chunks);
-  out.run.chunks_completed = static_cast<long>(grid.completed);
-  out.run.chunks_restored = ckpt.restored;
-  out.run.trials_executed = executed;
-  out.run.interrupted = !grid.complete();
-  out.run.stop_reason = cancel->reason();
-  obs::Registry& reg = obs::Registry::global();
-  reg.counter("campaign.chunks.completed")
-      .add(static_cast<long>(grid.completed));
-  reg.counter("campaign.chunks.restored").add(ckpt.restored);
-  if (out.run.interrupted) reg.counter("campaign.interrupted").inc();
+      });
+  out.done = run.grid.done;
+  out.run = run.status;
   return out;
 }
 
@@ -749,15 +763,6 @@ fault::FaultCampaign redraw_until_nonempty(std::mt19937_64& rng,
   return c;
 }
 
-}  // namespace
-
-MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
-                                    const MatmulSeuConfig& camp) {
-  return run_matmul_campaign(cfg, camp, CampaignRunControl{});
-}
-
-namespace {
-
 /// Kernel-trial sidecar byte: bit 0 corrupted, 1 ecc_detected,
 /// 2 ecc_corrected.
 std::uint8_t encode_kernel_trial(const KernelTrial& t) {
@@ -785,13 +790,6 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   auto campaign_span = tracer.span("matmul_campaign", "campaign");
   const int n = camp.n;
   std::mt19937_64 rng(camp.seed);
-
-  // Kernel trials re-run the whole stateful array; the unit evaluators
-  // cannot stand in for that, so a compiled request downgrades
-  // to the interpreted kernel loop (documented fallback, counted).
-  if (rtl::resolve_backend(camp.backend) != rtl::EvalBackend::kInterpreted) {
-    reg.counter("campaign.matmul.backend_fallback").inc();
-  }
 
   kernel::PeConfig pe_cfg = cfg;
   pe_cfg.ecc_accumulators = camp.scheme == fault::Scheme::kEcc;
@@ -922,7 +920,6 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   const std::size_t count = faults.size();
   const std::size_t chunk =
       control.chunk_trials > 0 ? control.chunk_trials : 16;
-  const std::size_t nchunks = exec::grid_chunk_count(count, 1, chunk);
   std::vector<KernelTrial> trials(count);
 
   fault::SpecHash spec;
@@ -940,68 +937,31 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
     fold_fault(spec, pf.fault);
   }
 
-  long done_trials = 0;
-  long done_silent = 0;
-  CheckpointSession ckpt = open_checkpoint_session(
-      control, spec.value(), count, chunk, nchunks,
-      [&](std::size_t index, const std::vector<std::uint8_t>& data) {
-        const std::size_t begin = index * chunk;
-        const std::size_t end = std::min(count, begin + chunk);
-        if (data.size() != end - begin) return false;
-        for (std::size_t i = begin; i < end; ++i) {
-          trials[i] = decode_kernel_trial(data[i - begin]);
-          if (trials[i].corrupted && !trials[i].ecc_detected) ++done_silent;
-        }
-        done_trials += static_cast<long>(end - begin);
-        return true;
-      });
-
-  exec::CancelToken local_token;
-  exec::CancelToken* cancel =
-      control.cancel != nullptr ? control.cancel : &local_token;
+  obs::ProgressReporter progress("matmul campaign",
+                                 static_cast<long>(count));
+  TrialPlan plan;
+  plan.key = spec.value();
+  plan.count = count;
+  plan.chunk = chunk;
+  plan.threads = camp.threads;
+  plan.encode = [&](std::size_t i, std::vector<std::uint8_t>& out) {
+    out.push_back(encode_kernel_trial(trials[i]));
+  };
+  plan.restore = [&](std::size_t i, const std::uint8_t* bytes) {
+    trials[i] = decode_kernel_trial(*bytes);
+  };
+  plan.silent = [&](std::size_t i) {
+    return trials[i].corrupted && !trials[i].ecc_detected;
+  };
+  plan.half_width = proportion_half_width;  // SDC fraction, unscaled
+  plan.progress = &progress;
 
   // Trial loop: each worker re-runs the kernel on its own array replica
   // (run() clears every PE first, so a replica's trial is bit-identical to
   // the legacy reuse of one array). Verdicts land in per-fault slots.
-  obs::ProgressReporter progress("matmul campaign",
-                                 static_cast<long>(count));
-  for (long i = 0; i < done_trials; ++i) progress.tick();
   auto inject_span = tracer.span("inject", "campaign");
-
-  long executed = 0;
-  exec::GridOptions grid_opts;
-  grid_opts.chunk = chunk;
-  grid_opts.skip = ckpt.skip.empty() ? nullptr : &ckpt.skip;
-  grid_opts.cancel = cancel;
-  grid_opts.on_chunk_done = [&](std::size_t c, std::size_t begin,
-                                std::size_t end) {
-    const long nt = static_cast<long>(end - begin);
-    executed += nt;
-    done_trials += nt;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (trials[i].corrupted && !trials[i].ecc_detected) ++done_silent;
-    }
-    if (ckpt.writer != nullptr) {
-      std::vector<std::uint8_t> data;
-      data.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i) {
-        data.push_back(encode_kernel_trial(trials[i]));
-      }
-      ckpt.writer->append(c, data);
-    }
-    if (control.trial_budget > 0 && executed >= control.trial_budget) {
-      cancel->request(exec::CancelToken::Reason::kTrialBudget);
-    }
-    if (control.stop_half_width > 0.0 &&
-        proportion_half_width(done_silent, done_trials) <=
-            control.stop_half_width) {
-      cancel->request(exec::CancelToken::Reason::kConverged);
-    }
-  };
-
-  const exec::GridResult grid = exec::parallel_for_grid(
-      count, camp.threads,
-      [&](int worker, std::size_t begin, std::size_t end) {
+  const TrialRun run = run_trials(
+      plan, control, [&](int worker, std::size_t begin, std::size_t end) {
         // Worker 0 reuses the golden array (exactly the legacy serial
         // loop); the others run on their own replicas.
         std::optional<kernel::LinearArrayMatmul> replica;
@@ -1037,51 +997,39 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
           trial.ecc_corrected = pe.ecc_corrections() > 0;
           progress.tick();
         }
-      },
-      grid_opts);
+      });
   inject_span.end();
-  if (ckpt.writer != nullptr) ckpt.writer->flush();
-
-  res.run.chunks_total = static_cast<long>(grid.chunks);
-  res.run.chunks_completed = static_cast<long>(grid.completed);
-  res.run.chunks_restored = ckpt.restored;
-  res.run.trials_executed = executed;
-  res.run.interrupted = !grid.complete();
-  res.run.stop_reason = cancel->reason();
+  res.run = run.status;
 
   // Ordered reduction over the pre-drawn fault list; only accounted (run
   // or restored) chunks contribute.
   auto reduce_span = tracer.span("reduce", "campaign");
-  for (std::size_t c = 0; c < grid.chunks; ++c) {
-    if (grid.done[c] == 0) continue;
-    const std::size_t cbegin = c * chunk;
-    const std::size_t cend = std::min(count, cbegin + chunk);
-    for (std::size_t i = cbegin; i < cend; ++i) {
-      const PeFault& pf = faults[i];
-      const KernelTrial& trial = trials[i];
-      ++res.injected;
-      const bool acc_site = pf.target == PeFault::kAccumulator;
-      const bool config_site = pf.target == PeFault::kConfigMult ||
-                               pf.target == PeFault::kConfigAdd;
-      if (acc_site) ++res.acc_injected;
-      else if (config_site) ++res.config_injected;
-      else ++res.latch_injected;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (run.grid.done[i / chunk] == 0) continue;
+    const PeFault& pf = faults[i];
+    const KernelTrial& trial = trials[i];
+    ++res.injected;
+    const bool acc_site = pf.target == PeFault::kAccumulator;
+    const bool config_site = pf.target == PeFault::kConfigMult ||
+                             pf.target == PeFault::kConfigAdd;
+    if (acc_site) ++res.acc_injected;
+    else if (config_site) ++res.config_injected;
+    else ++res.latch_injected;
 
-      if (trial.corrupted) {
-        // ECC can still flag what it cannot fix (double errors).
-        if (trial.ecc_detected) {
-          ++res.detected;
-        } else {
-          ++res.silent;
-          if (acc_site) ++res.acc_silent;
-          else if (config_site) ++res.config_silent;
-          else ++res.latch_silent;
-        }
-      } else if (trial.ecc_corrected) {
-        ++res.corrected;  // the upset reached storage; SECDED repaired it
+    if (trial.corrupted) {
+      // ECC can still flag what it cannot fix (double errors).
+      if (trial.ecc_detected) {
+        ++res.detected;
       } else {
-        ++res.masked;
+        ++res.silent;
+        if (acc_site) ++res.acc_silent;
+        else if (config_site) ++res.config_silent;
+        else ++res.latch_silent;
       }
+    } else if (trial.ecc_corrected) {
+      ++res.corrected;  // the upset reached storage; SECDED repaired it
+    } else {
+      ++res.masked;
     }
   }
   reduce_span.end();
@@ -1097,10 +1045,6 @@ MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
   reg.counter("campaign.matmul.latch_silent").add(res.latch_silent);
   reg.counter("campaign.matmul.config_injected").add(res.config_injected);
   reg.counter("campaign.matmul.config_silent").add(res.config_silent);
-  reg.counter("campaign.chunks.completed")
-      .add(static_cast<long>(grid.completed));
-  reg.counter("campaign.chunks.restored").add(ckpt.restored);
-  if (res.run.interrupted) reg.counter("campaign.interrupted").inc();
   return res;
 }
 

@@ -32,7 +32,7 @@ struct SeuCampaignConfig {
   int faults = 48;   ///< upsets injected, one per run (single-fault model)
   std::uint64_t seed = 0x5eed;
   fault::Scheme scheme = fault::Scheme::kNone;
-  /// Worker threads for the trial loop (exec::parallel_for_chunked).
+  /// Worker threads for the trial loop (exec::parallel_for_grid).
   /// 0 = auto (FLOPSIM_THREADS, then hardware_concurrency); 1 = serial.
   /// The fault list is pre-drawn and tallies reduce in fault-list order,
   /// so results are bit-identical for every thread count.
@@ -86,12 +86,6 @@ struct UnitSeuResult {
 /// convergence early-stop compares this — scaled to FIT for unit
 /// campaigns — against CampaignRunControl::stop_half_width.
 double proportion_half_width(long successes, long n);
-
-/// Inject `camp.faults` single upsets (one per run) into a unit at the
-/// configured depth and classify each against the golden run.
-UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
-                                const units::UnitConfig& cfg,
-                                const SeuCampaignConfig& camp);
 
 /// Raw-fabric upset-rate model for *user state* (pipeline latches, BRAM
 /// words). Configuration memory is CramRateModel below.
@@ -147,13 +141,15 @@ struct CampaignRunControl {
   SeuRateModel rate;
 };
 
-/// run_unit_campaign with checkpoint/resume, budgets, and cancellation.
-/// With a default-constructed control the tallies are bit-identical to the
-/// legacy overload (the grid reduction replays the flat fault-list fold).
+/// Inject `camp.faults` single upsets (one per run) into a unit at the
+/// configured depth and classify each against the golden run. `control`
+/// adds checkpoint/resume, budgets, cancellation and the convergence stop
+/// (stop_half_width in FIT via control.rate); a default control runs
+/// every trial, and the grid reduction replays the flat fault-list fold.
 UnitSeuResult run_unit_campaign(units::UnitKind kind, fp::FpFormat fmt,
                                 const units::UnitConfig& cfg,
                                 const SeuCampaignConfig& camp,
-                                const CampaignRunControl& control);
+                                const CampaignRunControl& control = {});
 
 /// Configuration-memory upset-rate model: essential bits of the design's
 /// footprint (fault::CramModel) struck at the raw CRAM rate, derated by
@@ -190,17 +186,10 @@ struct SeuDepthPoint {
 /// Campaign at each requested depth (depths are clamped like UnitConfig).
 /// The per-depth loop runs on camp.threads workers (each depth's inner
 /// campaign is serial); every depth writes its own slot, so the sweep is
-/// bit-identical at any thread count.
-std::vector<SeuDepthPoint> seu_depth_sweep(units::UnitKind kind,
-                                           fp::FpFormat fmt,
-                                           const std::vector<int>& depths,
-                                           const SeuCampaignConfig& camp,
-                                           const SeuRateModel& rate = {});
-
-/// Depth sweep with resilience: one grid chunk per depth (the sweep's
-/// checkpoint granularity is a finished depth point, charged to the trial
-/// budget as camp.faults inner trials). stop_half_width does not apply
-/// here; checkpoint/resume/budgets/cancel do.
+/// bit-identical at any thread count. One grid chunk per depth is the
+/// sweep's checkpoint granularity, charged to the trial budget as
+/// camp.faults inner trials. stop_half_width does not apply here;
+/// checkpoint/resume/budgets/cancel do.
 struct SeuSweepRun {
   std::vector<SeuDepthPoint> points;  ///< unfinished depths left zeroed
   std::vector<char> done;             ///< per-depth: restored or computed
@@ -209,8 +198,8 @@ struct SeuSweepRun {
 SeuSweepRun seu_depth_sweep(units::UnitKind kind, fp::FpFormat fmt,
                             const std::vector<int>& depths,
                             const SeuCampaignConfig& camp,
-                            const SeuRateModel& rate,
-                            const CampaignRunControl& control);
+                            const SeuRateModel& rate = {},
+                            const CampaignRunControl& control = {});
 
 /// The paper's min/max/opt selection with a reliability constraint: opt
 /// becomes the best freq/area design whose unhardened SDC FIT (pipeline
@@ -267,11 +256,6 @@ struct MatmulSeuConfig {
   /// (FLOPSIM_THREADS, then hardware_concurrency); 1 = serial. Tallies
   /// reduce in fault-list order: bit-identical at any thread count.
   int threads = 0;
-  /// Requested evaluation backend. The kernel campaign's trials are whole
-  /// matmul runs with stateful PEs — outside the unit evaluators' scope —
-  /// so any non-interpreted request falls back to the interpreted kernel
-  /// loop (campaign.matmul.backend_fallback counts the downgrades).
-  rtl::EvalBackend backend = rtl::EvalBackend::kAuto;
 };
 
 struct MatmulSeuResult {
@@ -299,14 +283,12 @@ struct MatmulSeuResult {
 
 /// Single-fault campaign over the linear-array matmul kernel: the oracle
 /// is the clean cycle-accurate run (itself pinned bit-for-bit to
-/// reference_gemm by the kernel tests).
-MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
-                                    const MatmulSeuConfig& camp);
-
-/// run_matmul_campaign with checkpoint/resume, budgets, and cancellation;
-/// stop_half_width is in SDC-fraction units here.
+/// reference_gemm by the kernel tests). Trials always run the interpreted
+/// kernel loop: they re-run the whole stateful array, which the unit
+/// evaluators cannot stand in for. `control` works as for
+/// run_unit_campaign, with stop_half_width in SDC-fraction units.
 MatmulSeuResult run_matmul_campaign(const kernel::PeConfig& cfg,
                                     const MatmulSeuConfig& camp,
-                                    const CampaignRunControl& control);
+                                    const CampaignRunControl& control = {});
 
 }  // namespace flopsim::analysis

@@ -159,20 +159,6 @@ void ThreadPool::run_chunked(std::size_t count, const ChunkFn& fn) {
   }
 }
 
-void parallel_for_chunked(std::size_t count, int threads,
-                          const ThreadPool::ChunkFn& fn) {
-  int t = resolve_threads(threads);
-  if (static_cast<std::size_t>(t) > count) {
-    t = count < 1 ? 1 : static_cast<int>(count);
-  }
-  if (t <= 1) {
-    if (count > 0) run_chunk_traced(fn, 0, 0, count);
-    return;
-  }
-  ThreadPool pool(t);
-  pool.run_chunked(count, fn);
-}
-
 namespace {
 
 /// Effective worker count for a grid run: never more workers than chunks.

@@ -4,13 +4,13 @@
 // Every hot loop in the analysis layer is an embarrassingly parallel trial
 // loop: the fault list (or depth grid) is fully drawn up front, each trial
 // is independent, and the tallies are a fold over per-trial verdicts. This
-// layer supplies the one primitive those loops need — parallel_for_chunked,
-// a fixed-size thread pool running *static* contiguous chunks — under a
-// strict determinism contract:
+// layer supplies the one primitive those loops need — parallel_for_grid,
+// a fixed-size thread pool running a *static* grid of contiguous chunks —
+// under a strict determinism contract:
 //
-//  * Work is split into exactly `threads` contiguous chunks of [0, count),
-//    assigned by worker index (never stolen, never rebalanced), so which
-//    worker computes which trial is a pure function of (count, threads).
+//  * Work is split into contiguous chunks of [0, count), assigned by
+//    worker index (never stolen, never rebalanced), so which worker
+//    computes which trial is a pure function of (count, threads, chunk).
 //  * Workers only write per-index slots the caller pre-sized; the caller
 //    reduces those slots in index (fault-list) order afterwards, never in
 //    arrival order.
@@ -86,28 +86,21 @@ class ThreadPool {
   std::unique_ptr<Impl> impl_;
 };
 
-/// One-shot convenience over ThreadPool: resolve_threads(threads), clamp to
-/// count (never more workers than trials), run fn over the static chunks
-/// and return when all are done. With one effective thread the body runs
-/// inline — no threads are created and no synchronization happens.
-void parallel_for_chunked(std::size_t count, int threads,
-                          const ThreadPool::ChunkFn& fn);
-
 // --- static-grid execution (the resilience substrate) -------------------
 //
-// parallel_for_chunked's chunk boundaries are a function of the thread
+// One chunk per worker makes the chunk boundaries a function of the thread
 // count, which is exactly wrong for checkpointing: a campaign resumed at a
-// different --threads= must re-run the *same* remaining chunks. The grid
-// variant fixes the chunk boundaries by an explicit chunk size instead —
-// a pure function of (count, chunk) — and distributes contiguous spans of
-// grid chunks across the pool's static workers. Per-trial slot writes and
-// the caller's ordered reduction keep results bit-identical at any thread
+// different --threads= must re-run the *same* remaining chunks. An
+// explicit chunk size fixes the boundaries instead — a pure function of
+// (count, chunk) — and the grid distributes contiguous spans of chunks
+// across the pool's static workers. Per-trial slot writes and the
+// caller's ordered reduction keep results bit-identical at any thread
 // count, for any chunk size, and across any interrupt/resume split.
 
 struct GridOptions {
-  /// Trials per grid chunk. 0 = one chunk per effective worker (exactly
-  /// parallel_for_chunked's legacy layout). Checkpointed campaigns pass an
-  /// explicit size so the grid survives thread-count changes.
+  /// Trials per grid chunk. 0 = one chunk per effective worker (the plain
+  /// static split). Checkpointed campaigns pass an explicit size so the
+  /// grid survives thread-count changes.
   std::size_t chunk = 0;
   /// Per-chunk skip flags (restored-from-checkpoint chunks); nonzero
   /// entries are not run but count as done. Must have at least
@@ -143,7 +136,8 @@ std::size_t grid_chunk_count(std::size_t count, int threads,
 /// Run fn over the static chunk grid: fn(worker, begin, end) once per
 /// grid chunk, contiguous chunk spans assigned per worker, chunk
 /// boundaries independent of the thread count when opts.chunk > 0.
-/// Serial (inline, no pool) with one effective worker.
+/// Never more workers than chunks; with one effective worker the body
+/// runs inline on the caller — no threads, no synchronization.
 GridResult parallel_for_grid(std::size_t count, int threads,
                              const ThreadPool::ChunkFn& fn,
                              const GridOptions& opts = {});

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "rtl/evaluator.hpp"
+#include "rtl/signals.hpp"
 #include "units/fp_unit.hpp"
 
 namespace flopsim::fault {
@@ -92,13 +92,6 @@ struct CampaignSpec {
   /// kCram: width of the stuck mask a single upset imposes — a LUT/routing
   /// flip typically perturbs a couple of adjacent signal bits, not one.
   int mask_bits = 2;
-
-  /// How the campaign drivers evaluate the trials this spec seeds
-  /// (rtl::Evaluator backend selection; see SeuCampaignConfig::backend).
-  /// Purely advisory here: fault drawing ignores it, and it never enters
-  /// a campaign's checkpoint spec hash — every backend produces the same
-  /// tallies, so sidecars stay shareable across backends.
-  rtl::EvalBackend backend = rtl::EvalBackend::kAuto;
 };
 
 class FaultCampaign {

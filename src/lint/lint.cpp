@@ -85,7 +85,7 @@ const std::vector<RuleInfo>& rule_registry() {
        "declared live_bits at a cuttable boundary is below the inferred "
        "live width (the area model undercounts pipeline FFs)"},
       {"DL202", Severity::kWarning,
-       "declared live_bits far exceeds the inferred live width"},
+       "declared live_bits exceeds the proven live-width upper bound"},
       {"DL301", Severity::kError,
        "stage_begin is malformed (must rise strictly from 0 to piece count)"},
       {"DL302", Severity::kError,
@@ -552,16 +552,6 @@ void live_bits_rules(const rtl::PieceChain& chain,
       Finding f = piece_finding("DL201", subject, chain, b, msg.str());
       f.boundary = b;
       report.add(f);
-    } else if (declared > opts.live_bits_excess_factor * inferred +
-                              opts.live_bits_excess_slack) {
-      std::ostringstream msg;
-      msg << "declares live_bits = " << declared
-          << " but the inferred live width is only " << inferred << " (lanes "
-          << lanes.str()
-          << "): the FF-cost model may overcount (probe-only path)";
-      Finding f = piece_finding("DL202", subject, chain, b, msg.str());
-      f.boundary = b;
-      report.add(f);
     }
   }
 }
@@ -603,18 +593,15 @@ Report lint_chain(const rtl::PieceChain& chain, const ChainContract& contract,
   const ChainAccess access = infer_chain_access(chain, contract, opts);
   defuse_rules(chain, contract, access, opts, subject, report);
 
-  ChainAbsint absint;
-  if (opts.absint) {
-    absint = analyze_chain(chain, contract, opts);
-    if (absint.annotated) {
-      report.absint_subjects = 1;
-      report.absint_boundaries = static_cast<int>(absint.boundaries.size());
-      for (const BoundaryBounds& bb : absint.boundaries) {
-        if (bb.exact()) ++report.absint_exact;
-      }
-      report.absint_checks = absint.containment_checks;
-      report.merge(absint.findings);
+  ChainAbsint absint = analyze_chain(chain, contract, opts);
+  if (absint.annotated) {
+    report.absint_subjects = 1;
+    report.absint_boundaries = static_cast<int>(absint.boundaries.size());
+    for (const BoundaryBounds& bb : absint.boundaries) {
+      if (bb.exact()) ++report.absint_exact;
     }
+    report.absint_checks = absint.containment_checks;
+    report.merge(absint.findings);
   }
   live_bits_rules(chain, contract, access, opts, subject,
                   absint.annotated ? &absint : nullptr, report);

@@ -118,17 +118,8 @@ struct Options {
   /// deficit becomes an error. The inferred width is a lower bound built
   /// from observed values, so small deficits are expected noise.
   int live_bits_deficit_tol = 4;
-  /// DL202: declared > factor * inferred + slack flags the declaration as
-  /// suspiciously oversized (warning).
-  double live_bits_excess_factor = 2.0;
-  int live_bits_excess_slack = 24;
   /// Include note-severity findings (timing-placeholder pieces etc.).
   bool notes = false;
-  /// Run the abstract-interpretation engine (src/lint/absint.*) on fully
-  /// annotated chains: DL4xx rules, proven live_bits bounds, and the
-  /// tolerance-free DL401 path where the probe-vs-absint sandwich is
-  /// exact. Chains with any unannotated piece are skipped either way.
-  bool absint = true;
 };
 
 /// What the chain promises its environment: which lanes arrive initialized

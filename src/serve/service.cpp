@@ -479,7 +479,6 @@ std::string Service::evaluate_campaign(const JsonValue& body,
         static_cast<long>(int_field(body, "scrub_period_cycles", 0, 0,
                                     1LL << 40));
     camp.threads = cfg_.threads;
-    camp.backend = cfg_.backend;
     kernel::PeConfig pe;
     pe.fmt = format_of_bits(int_field(body, "bits", 32, 0, 1 << 20), "bits");
     pe.adder_stages =

@@ -119,7 +119,7 @@ TEST(CampaignDeterminism, DepthSweepMatchesSerialGolden) {
     camp.faults = 16;
     camp.threads = threads;
     const std::vector<SeuDepthPoint> pts = seu_depth_sweep(
-        units::UnitKind::kAdder, fp::FpFormat::binary32(), depths, camp);
+        units::UnitKind::kAdder, fp::FpFormat::binary32(), depths, camp).points;
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ASSERT_EQ(pts.size(), depths.size());
     for (std::size_t i = 0; i < pts.size(); ++i) {

@@ -1,8 +1,10 @@
 // The resilience contract end to end: a campaign interrupted by a budget
 // or a signal, checkpointed, and resumed — possibly at a different thread
 // count — produces tallies bit-identical to one uninterrupted run. Also
-// locks the refusal path (a sidecar from a different campaign throws) and
-// the convergence early stop.
+// locks, for the unit and matmul campaigns and the depth sweep, the
+// refusal path (a sidecar from a different campaign throws) and the
+// convergence early stop (FIT for units, SDC fraction for matmul, none
+// for the sweep).
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -216,7 +218,7 @@ TEST(CampaignResume, DepthSweepRestoresFinishedDepths) {
   camp.faults = 16;
   camp.threads = 1;
   const std::vector<SeuDepthPoint> baseline = seu_depth_sweep(
-      units::UnitKind::kAdder, fp::FpFormat::binary32(), depths, camp);
+      units::UnitKind::kAdder, fp::FpFormat::binary32(), depths, camp).points;
 
   const std::string dir = fresh_dir("resume_sweep");
   CampaignRunControl interrupt;
@@ -253,6 +255,22 @@ TEST(CampaignResume, DepthSweepRestoresFinishedDepths) {
   }
 }
 
+/// Overwrite the one sidecar in `dir` with one claiming a different trial
+/// count — what a hand-edited or stale file looks like. The filename stem
+/// is the spec hash, so the campaign will find it and must refuse it.
+void forge_foreign_sidecar(const std::string& dir, std::size_t chunk) {
+  std::string path;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    path = entry.path().string();
+  }
+  ASSERT_FALSE(path.empty());
+  const std::uint64_t spec =
+      std::stoull(std::filesystem::path(path).stem().string(), nullptr, 16);
+  fault::CheckpointWriter bad(path, spec, /*count=*/99, chunk, 0,
+                              /*fresh=*/true);
+  ASSERT_TRUE(bad.ok());
+}
+
 TEST(CampaignResume, ForeignSidecarIsRefused) {
   const auto kind = units::UnitKind::kAdder;
   const fp::FpFormat fmt = fp::FpFormat::binary32();
@@ -265,26 +283,57 @@ TEST(CampaignResume, ForeignSidecarIsRefused) {
       run_unit_campaign(kind, fmt, unit_cfg(), unit_camp(1), interrupt);
   ASSERT_TRUE(partial.run.interrupted);
 
-  // Overwrite the sidecar with one claiming a different trial count —
-  // what a hand-edited or stale file looks like. The filename stem is the
-  // spec hash, so the campaign will find it and must refuse it.
-  std::string path;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    path = entry.path().string();
-  }
-  ASSERT_FALSE(path.empty());
-  const std::uint64_t spec =
-      std::stoull(std::filesystem::path(path).stem().string(), nullptr, 16);
-  {
-    fault::CheckpointWriter bad(path, spec, /*count=*/99, /*chunk=*/8, 0,
-                                /*fresh=*/true);
-    ASSERT_TRUE(bad.ok());
-  }
+  forge_foreign_sidecar(dir, 8);
   CampaignRunControl resume;
   resume.checkpoint_dir = dir;
   resume.resume = true;
   resume.chunk_trials = 8;
   EXPECT_THROW(run_unit_campaign(kind, fmt, unit_cfg(), unit_camp(1), resume),
+               std::runtime_error);
+}
+
+TEST(CampaignResume, MatmulForeignSidecarIsRefused) {
+  kernel::PeConfig cfg;
+  MatmulSeuConfig camp;
+  camp.faults = 16;
+  camp.threads = 1;
+  const std::string dir = fresh_dir("resume_refuse_matmul");
+  CampaignRunControl interrupt;
+  interrupt.checkpoint_dir = dir;
+  interrupt.chunk_trials = 8;
+  interrupt.trial_budget = 8;
+  const MatmulSeuResult partial = run_matmul_campaign(cfg, camp, interrupt);
+  ASSERT_TRUE(partial.run.interrupted);
+
+  forge_foreign_sidecar(dir, 8);
+  CampaignRunControl resume;
+  resume.checkpoint_dir = dir;
+  resume.resume = true;
+  resume.chunk_trials = 8;
+  EXPECT_THROW(run_matmul_campaign(cfg, camp, resume), std::runtime_error);
+}
+
+TEST(CampaignResume, DepthSweepForeignSidecarIsRefused) {
+  const std::vector<int> depths{1, 4};
+  SeuCampaignConfig camp;
+  camp.faults = 8;
+  camp.threads = 1;
+  const std::string dir = fresh_dir("resume_refuse_sweep");
+  CampaignRunControl interrupt;
+  interrupt.checkpoint_dir = dir;
+  interrupt.trial_budget = 8;  // one depth charges camp.faults = 8
+  const SeuSweepRun partial = seu_depth_sweep(
+      units::UnitKind::kAdder, fp::FpFormat::binary32(), depths, camp,
+      SeuRateModel{}, interrupt);
+  ASSERT_TRUE(partial.run.interrupted);
+
+  forge_foreign_sidecar(dir, 1);  // the sweep's grid is one depth per chunk
+  CampaignRunControl resume;
+  resume.checkpoint_dir = dir;
+  resume.resume = true;
+  EXPECT_THROW(seu_depth_sweep(units::UnitKind::kAdder,
+                               fp::FpFormat::binary32(), depths, camp,
+                               SeuRateModel{}, resume),
                std::runtime_error);
 }
 
@@ -299,6 +348,49 @@ TEST(CampaignResume, ConvergenceEarlyStopReportsConverged) {
   EXPECT_EQ(r.run.stop_reason, exec::CancelToken::Reason::kConverged);
   EXPECT_EQ(r.run.trials_executed, 8)
       << "serial run stops right after the first chunk";
+}
+
+TEST(CampaignResume, MatmulConvergenceStopIsInSdcFractionUnits) {
+  kernel::PeConfig cfg;
+  MatmulSeuConfig camp;
+  camp.faults = 24;
+  camp.threads = 1;
+  CampaignRunControl control;
+  control.chunk_trials = 8;
+  // The widest 95% Agresti-Coull half-width of an 8-trial sample is
+  // 1.96 * sqrt(0.25 / 12) ~= 0.283 (in SDC fraction), so 0.3 converges
+  // after the first chunk whatever the tally; any FIT-style scaling of the
+  // matmul proportion would overshoot it.
+  control.stop_half_width = 0.3;
+  const MatmulSeuResult r = run_matmul_campaign(cfg, camp, control);
+  EXPECT_TRUE(r.run.interrupted);
+  EXPECT_EQ(r.run.stop_reason, exec::CancelToken::Reason::kConverged);
+  EXPECT_EQ(r.run.trials_executed, 8)
+      << "serial run stops right after the first chunk";
+  EXPECT_EQ(r.injected, 8) << "only the finished chunk reduces";
+}
+
+TEST(CampaignResume, DepthSweepIgnoresStopHalfWidth) {
+  const std::vector<int> depths{1, 4, 9};
+  SeuCampaignConfig camp;
+  camp.faults = 8;
+  camp.threads = 1;
+  const SeuSweepRun baseline = seu_depth_sweep(
+      units::UnitKind::kAdder, fp::FpFormat::binary32(), depths, camp);
+  CampaignRunControl control;
+  control.stop_half_width = 1e12;  // would stop any converging campaign
+  const SeuSweepRun r = seu_depth_sweep(units::UnitKind::kAdder,
+                                        fp::FpFormat::binary32(), depths,
+                                        camp, SeuRateModel{}, control);
+  EXPECT_FALSE(r.run.interrupted);
+  EXPECT_EQ(r.run.stop_reason, exec::CancelToken::Reason::kNone);
+  EXPECT_EQ(r.run.chunks_completed, r.run.chunks_total);
+  ASSERT_EQ(r.points.size(), depths.size());
+  for (std::size_t i = 0; i < depths.size(); ++i) {
+    EXPECT_EQ(r.done[i], 1) << "depth index " << i;
+    EXPECT_EQ(r.points[i].stages, baseline.points[i].stages);
+    EXPECT_EQ(r.points[i].avf, baseline.points[i].avf);
+  }
 }
 
 }  // namespace

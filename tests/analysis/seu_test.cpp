@@ -45,7 +45,7 @@ TEST(SeuCampaign, DepthSweepShowsGrowingExposure) {
   SeuCampaignConfig camp;
   camp.faults = 64;
   const std::vector<SeuDepthPoint> points = seu_depth_sweep(
-      units::UnitKind::kAdder, fp::FpFormat::binary32(), depths, camp);
+      units::UnitKind::kAdder, fp::FpFormat::binary32(), depths, camp).points;
 
   ASSERT_EQ(points.size(), depths.size());
   for (std::size_t i = 0; i < points.size(); ++i) {

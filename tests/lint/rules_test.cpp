@@ -7,6 +7,7 @@
 #include "lint/lint.hpp"
 #include "lint/report.hpp"
 #include "rtl/pipeline.hpp"
+#include "rtl/semops.hpp"
 #include "fixtures.hpp"
 
 namespace flopsim::lint {
@@ -255,10 +256,22 @@ TEST(LintRules, DL201UnderdeclaredLiveBits) {
   EXPECT_NE(hits[0].message.find("undercounts"), std::string::npos);
 }
 
-TEST(LintRules, DL202OverdeclaredLiveBits) {
+// DL202 is a proven finding: it needs the absint engine's upper bound, so
+// it runs on a copy of the toy chain whose pieces carry sem programs.
+rtl::PieceChain annotated_toy_chain() {
+  namespace sm = rtl::sem;
   rtl::PieceChain chain = toy_chain();
+  chain[0].sem = {sm::read(0), sm::read(1), sm::add(2, 0, 1)};
+  chain[1].sem = {sm::shr(3, 2, 7), sm::bxor(3, 2, 3)};
+  chain[2].sem = {sm::addi(0, 3, 1)};
+  return chain;
+}
+
+TEST(LintRules, DL202OverdeclaredLiveBits) {
+  rtl::PieceChain chain = annotated_toy_chain();
   chain[0].live_bits = 500;
   const Report r = lint_chain(chain, toy_contract());
+  EXPECT_EQ(r.absint_subjects, 1) << "the copy must be fully annotated";
   const auto hits = r.with_rule("DL202");
   ASSERT_EQ(hits.size(), 1u) << rendered(r);
   EXPECT_EQ(hits[0].severity, Severity::kWarning);
@@ -359,7 +372,9 @@ TEST(LintRules, FindingSeveritiesMatchRegistry) {
     ASSERT_NE(info, nullptr) << f.rule;
     // DL006's zero-width case downgrades to warning; everything else
     // fires at registry severity.
-    if (f.rule != "DL006") EXPECT_EQ(f.severity, info->severity) << f.rule;
+    if (f.rule != "DL006") {
+      EXPECT_EQ(f.severity, info->severity) << f.rule;
+    }
   }
 }
 

@@ -8,7 +8,7 @@
 //
 // Usage:
 //   flopsim-lint [--fast] [--notes] [--vectors=<n>] [--seed=<n>]
-//                [--rules=<spec>] [--no-absint] [speed] [ieee] [fabric]
+//                [--rules=<spec>] [speed] [ieee] [fabric]
 //                [--threads=<n>] [--json <path>]
 //   flopsim-lint <add|mul|div|sqrt|mac> <16|32|48|64> [stages] [...]
 //   flopsim-lint cvt <src-bits> <dst-bits> [stages]
@@ -16,11 +16,11 @@
 // --fast skips the depth sweeps (lints depths {1, max} only) and drops to
 // 8 stimulus vectors — the pre-commit loop. --rules= filters findings by
 // rule ID or family ("DL201,DL4xx", '-' prefix excludes); an ID matching
-// no known rule is a usage error. --no-absint disables the
-// abstract-interpretation engine (probe-only linting; --absint restores
-// the default). --json appends one JSON-lines finding per line plus a
-// summary object (the CI artifact). Exit status: 0 clean, 1
-// error-severity findings (or I/O failure), 2 bad arguments.
+// no known rule is a usage error. The abstract-interpretation engine
+// always runs; the last line reports how many subjects it sandwiched.
+// --json appends one JSON-lines finding per line plus a summary object
+// (the CI artifact). Exit status: 0 clean, 1 error-severity findings (or
+// I/O failure), 2 bad arguments.
 #include <cstdio>
 #include <cstdlib>
 #include <cctype>
@@ -45,7 +45,7 @@ using namespace flopsim;
 void print_usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [--fast] [--notes] [--vectors=<n>] [--seed=<n>] "
-               "[--rules=<spec>] [--no-absint] [speed] [ieee] [fabric] "
+               "[--rules=<spec>] [speed] [ieee] [fabric] "
                "[--threads=<n>] [--json <path>]\n"
                "       %s <add|mul|div|sqrt|mac> <16|32|48|64> [stages] "
                "[speed] [ieee] [fabric]\n"
@@ -94,10 +94,6 @@ std::vector<std::string> take_flags(const std::vector<std::string>& rest,
       opts.lint.vectors = 8;
     } else if (tok == "--notes") {
       opts.lint.notes = true;
-    } else if (tok == "--absint") {
-      opts.lint.absint = true;
-    } else if (tok == "--no-absint") {
-      opts.lint.absint = false;
     } else if (tok.rfind("--rules=", 0) == 0) {
       // RuleFilter::parse throws on an unknown ID -> usage exit below.
       opts.rules = lint::RuleFilter::parse(tok.substr(8));
@@ -252,12 +248,10 @@ int main(int argc, char** argv) {
 
     lint::apply_rule_filter(tally.all, opts.rules);
     lint::write_text(std::cout, tally.all, opts.lint.notes);
-    if (opts.lint.absint) {
-      // CI greps this line: both numbers equal means the sandwich held on
-      // every linted subject (no chain fell back to probe-only).
-      std::printf("absint sandwich: %d/%d subjects covered\n",
-                  tally.all.absint_subjects, tally.subjects);
-    }
+    // CI greps this line: both numbers equal means the sandwich held on
+    // every linted subject (no chain fell back to probe-only).
+    std::printf("absint sandwich: %d/%d subjects covered\n",
+                tally.all.absint_subjects, tally.subjects);
     if (!cli.json_path.empty()) {
       std::ofstream out(cli.json_path, std::ios::app);
       if (!out) {
